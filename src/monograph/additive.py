@@ -36,17 +36,9 @@ def is_additive_morphism(a: AdditiveMorphism):
 
     An edge with an empty fiber must carry the zero: a sum over nothing vanishes.
     """
-    m = a.underlying
-    report = validate_morphism(m)
-    if not report.ok:
-        raise ValueError(report.summary())
-    algebra = a.source.algebra
-    for e_prime in range(m.target.n_edges):
-        total = algebra.zero
-        for e in range(m.source.n_edges):
-            if m.f1[e] == e_prime:
-                total = algebra.add(total, a.source.labels[e])
-        if total != a.target.labels[e_prime]:
+    pushed = pushforward_labeling(a.underlying, a.source)
+    for e_prime, (total, label) in enumerate(zip(pushed.labels, a.target.labels)):
+        if total != label:
             return False, e_prime
     return True, None
 

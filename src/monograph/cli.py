@@ -172,24 +172,10 @@ def _two_open_inputs(args):
     return left, right
 
 
-def cmd_compose(args) -> int:
+def cmd_combine(args) -> int:
     left, right = _two_open_inputs(args)
     try:
-        result = compose_open(left, right)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    save_model(ModelFile(open_graph=result), args.out)
-    print(
-        f"wrote {args.out}: {result.inner.graph.n_vertices} vertices, "
-        f"{result.inner.graph.n_edges} edges"
-    )
-    return 0
-
-
-def cmd_tensor(args) -> int:
-    left, right = _two_open_inputs(args)
-    try:
-        result = tensor_open(left, right)
+        result = args.combine(left, right)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     save_model(ModelFile(open_graph=result), args.out)
@@ -385,16 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=cmd_motif)
 
-    for name, helptext, runner in (
-        ("compose", "glue two open graphs output-to-input", cmd_compose),
-        ("tensor", "set two open graphs side by side", cmd_tensor),
+    for name, helptext, combine in (
+        ("compose", "glue two open graphs output-to-input", compose_open),
+        ("tensor", "set two open graphs side by side", tensor_open),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("inputs", nargs="*", metavar="FILE")
         p.add_argument("--left")
         p.add_argument("--right")
         p.add_argument("--out", required=True)
-        p.set_defaults(run=runner)
+        p.set_defaults(run=cmd_combine, combine=combine)
 
     p = sub.add_parser("homology", help="components, loop generators and relations")
     p.add_argument("file")

@@ -16,12 +16,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import LabelAlgebra, TableAlgebra
+from .algebra import LabelAlgebra, TableAlgebra, algebra_name
 from .graphs import LabeledGraph
 from .homology import (
+    NAT,
     Chain,
     SimpleLoop,
     boundary_pair,
+    brute_force_circulations,
+    brute_force_h1,
     chain,
     chain_add,
     is_cycle,
@@ -41,9 +44,6 @@ class GluedGraph:
     shared: tuple[int, ...]  # composite vertex ids lying on both sides
     x_vertices: frozenset[int]
     y_vertices: frozenset[int]
-
-    def side_edges(self, side: str) -> tuple[int, ...]:
-        return tuple(e for e, s in enumerate(self.side) if s == side)
 
 
 def glue(x: OpenGraph, y: OpenGraph) -> GluedGraph:
@@ -111,11 +111,9 @@ def _restrict_to_shared(vertex_chain: Chain, g: GluedGraph) -> Chain:
 
 
 def _condition(c: Chain, g: GluedGraph, mode: str, side: str) -> bool:
-    graph = g.composite.graph
     if mode == "two-sided":
-        return is_cycle(side_projection(c, g, "x"), graph) and is_cycle(
-            side_projection(c, g, "y"), graph
-        )
+        return is_inherited_cycle(c, g)
+    graph = g.composite.graph
     projected = side_projection(c, g, side)
     src_chain, tgt_chain = boundary_pair(projected, graph)
     if mode == "one-sided":
@@ -123,26 +121,6 @@ def _condition(c: Chain, g: GluedGraph, mode: str, side: str) -> bool:
     if mode == "q-form":
         return _restrict_to_shared(src_chain, g) == _restrict_to_shared(tgt_chain, g)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _enumerate_cycles(g: GluedGraph, algebra: LabelAlgebra, bound, edges=None, guard: int = 10**6):
-    graph = g.composite.graph
-    if edges is None:
-        edges = tuple(range(graph.n_edges))
-    if isinstance(algebra, TableAlgebra):
-        values = range(algebra.size)
-    else:
-        if bound is None:
-            raise ValueError("natural-number enumeration needs a coefficient bound")
-        values = range(bound + 1)
-    if len(values) ** len(edges) > guard:
-        raise ValueError("enumeration space exceeds the guard")
-    cycles = []
-    for assignment in itertools.product(values, repeat=len(edges)):
-        candidate = chain(algebra, dict(zip(edges, assignment)))
-        if is_cycle(candidate, graph):
-            cycles.append(candidate)
-    return cycles
 
 
 @dataclass
@@ -160,15 +138,24 @@ def mv_check(g: GluedGraph, algebra: LabelAlgebra, mode: str, bound=None, side: 
     """Compare a membership test against the true image of side-cycle sums.
 
     Enumerates every cycle of the composite over `algebra` (finite table, or
-    naturals up to `bound`), independently enumerates sums of one cycle per
-    side, and reports each enumerated cycle where the requested condition
-    disagrees with membership in that image.  The two-sided condition never
-    disagrees; the one-sided and shared-vertex (q-form) conditions can only
-    disagree when the coefficients are non-cancellative.
+    naturals up to `bound`), takes each side's cycles as those supported on
+    that side's edges, and reports each enumerated cycle where the requested
+    condition disagrees with membership in the image of their sums.  The
+    two-sided condition never disagrees; the one-sided and shared-vertex
+    (q-form) conditions can only disagree when the coefficients are
+    non-cancellative.
     """
-    all_cycles = _enumerate_cycles(g, algebra, bound)
-    x_cycles = _enumerate_cycles(g, algebra, bound, g.side_edges("x"))
-    y_cycles = _enumerate_cycles(g, algebra, bound, g.side_edges("y"))
+    graph = g.composite.graph
+    if isinstance(algebra, TableAlgebra):
+        all_cycles = brute_force_h1(graph, algebra)
+    elif algebra == NAT:
+        if bound is None:
+            raise ValueError("natural-number enumeration needs a coefficient bound")
+        all_cycles = brute_force_circulations(graph, bound)
+    else:
+        raise ValueError(f"cycles are enumerated over finite tables or NatAdd, not {algebra_name(algebra)}")
+    x_cycles = [c for c in all_cycles if side_projection(c, g, "x") == c]
+    y_cycles = [c for c in all_cycles if side_projection(c, g, "y") == c]
     image = {chain_add(cx, cy) for cx in x_cycles for cy in y_cycles}
     mismatches = [
         c for c in all_cycles if _condition(c, g, mode, side) != (c in image)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, apply_hom
@@ -36,11 +37,30 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edge_src)
 
+    # The incidence is derived from the frozen fields on first use and cached
+    # outside them, so equality and hashing still see only the fields.
+    @cached_property
+    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ids of the edges leaving it, ascending."""
+        return _incidence(self.n_vertices, self.edge_src)
+
+    @cached_property
+    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ids of the edges entering it, ascending."""
+        return _incidence(self.n_vertices, self.edge_tgt)
+
     def out_edges(self, v: int) -> list[int]:
-        return [e for e in range(self.n_edges) if self.edge_src[e] == v]
+        return list(self.out_adjacency[v])
 
     def in_edges(self, v: int) -> list[int]:
-        return [e for e in range(self.n_edges) if self.edge_tgt[e] == v]
+        return list(self.in_adjacency[v])
+
+
+def _incidence(n_vertices: int, ends: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    table: list[list[int]] = [[] for _ in range(n_vertices)]
+    for e, v in enumerate(ends):
+        table[v].append(e)
+    return tuple(map(tuple, table))
 
 
 def graph(vertices: Sequence[str], edges: Sequence[tuple[int, int]]) -> Graph:
@@ -157,38 +177,6 @@ def change_labels(hom: MonoidHom, g: LabeledGraph) -> LabeledGraph:
     if g.algebra != hom.source:
         raise ValueError("graph labels do not live in the hom's source algebra")
     return LabeledGraph(g.graph, hom.target, tuple(apply_hom(hom, x) for x in g.labels))
-
-
-def grothendieck_morphism_check(
-    phi: MonoidHom,
-    m,
-    src: LabeledGraph,
-    dst: LabeledGraph,
-    mode: str = "set",
-) -> bool:
-    """Check a combined (label map, graph map) morphism in one of three senses.
-
-    set:      labels transport strictly along edges;
-    additive: relabeled source pushes forward onto the target labeling;
-    kleisli:  `m` maps edges to paths whose grade is the relabeled edge label.
-    """
-    if mode == "set":
-        _require_valid(m)
-        return all(
-            dst.labels[m.f1[e]] == apply_hom(phi, src.labels[e])
-            for e in range(m.source.n_edges)
-        )
-    if mode == "additive":
-        from .additive import pushforward_labeling
-
-        _require_valid(m)
-        pushed = pushforward_labeling(m, change_labels(phi, src))
-        return pushed.labels == dst.labels
-    if mode == "kleisli":
-        from .paths import kleisli_respects_hom
-
-        return kleisli_respects_hom(phi, m)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -162,17 +162,14 @@ def simple_loops(g: Graph, cap: int = LOOP_CAP):
     Parallel edges give distinct circuits.  Returns ``(loops, truncated)``
     sorted by canonical edge sequence; `truncated` reports hitting the cap.
     """
-    out_edges: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for e in range(g.n_edges):
-        out_edges[g.edge_src[e]].append(e)
-
+    out_adjacency = g.out_adjacency
     found: list[SimpleLoop] = []
     truncated = False
 
     def search(anchor: int, at: int, visited: set[int], trail: list[int]) -> bool:
         # circuits are anchored at their minimal vertex, so each rotation
         # class is produced exactly once
-        for e in out_edges[at]:
+        for e in out_adjacency[at]:
             w = g.edge_tgt[e]
             if w == anchor:
                 found.append(SimpleLoop(canonical_rotation(trail + [e])))
@@ -214,7 +211,7 @@ def decompose_cycle(c: Chain, g: Graph) -> list[SimpleLoop]:
         seen = {at: 0}
         trail: list[int] = []
         while True:
-            step = min(e for e in g.out_edges(at) if work.get(e, 0) > 0)
+            step = next(e for e in g.out_adjacency[at] if work.get(e, 0) > 0)
             trail.append(step)
             at = g.edge_tgt[step]
             if at in seen:

@@ -95,6 +95,10 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
     elements = tuple(obj["elements"])
     n = len(elements)
 
+    def is_index(v: Any) -> bool:
+        # JSON true/false arrive as bool, a subclass of int
+        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
     def read_table(key: str, required: bool):
         table = obj.get(key)
         if table is None:
@@ -103,20 +107,16 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
         _require(isinstance(table, list), "bad-table", f"{key} must be a flat row-major list")
         _require(len(table) == n * n, "bad-table", f"{key} has {len(table)} entries, expected {n * n}")
         for v in table:
-            _require(
-                isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n,
-                "bad-table",
-                f"{key} entry {v!r} is not an element index",
-            )
+            _require(is_index(v), "bad-table", f"{key} entry {v!r} is not an element index")
         return tuple(table)
 
     mul_table = read_table("mul_table", required=True)
     add_table = read_table("add_table", required=False)
     unit = obj.get("unit")
-    _require(isinstance(unit, int) and 0 <= unit < n, "bad-table", f"unit {unit!r} is not an element index")
+    _require(is_index(unit), "bad-table", f"unit {unit!r} is not an element index")
     zero = obj.get("zero")
     if add_table is not None:
-        _require(isinstance(zero, int) and 0 <= zero < n, "bad-table", f"zero {zero!r} is not an element index")
+        _require(is_index(zero), "bad-table", f"zero {zero!r} is not an element index")
     else:
         _require(zero is None, "schema", "zero given without an add_table")
     flags_obj = obj.get("flags", {})

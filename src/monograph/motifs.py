@@ -21,6 +21,7 @@ def paths_between(host: LabeledGraph, start: int, end: int, max_len: int) -> lis
     """All paths from start to end with at most `max_len` edges, in
     lexicographic edge-id order (the empty path first when start == end)."""
     g = host.graph
+    out_adjacency = g.out_adjacency
     out: list[Path] = []
 
     def extend(at: int, edges: list[int]):
@@ -28,11 +29,10 @@ def paths_between(host: LabeledGraph, start: int, end: int, max_len: int) -> lis
             out.append(Path(start, tuple(edges)))
         if len(edges) == max_len:
             return
-        for e in range(g.n_edges):
-            if g.edge_src[e] == at:
-                edges.append(e)
-                extend(g.edge_tgt[e], edges)
-                edges.pop()
+        for e in out_adjacency[at]:
+            edges.append(e)
+            extend(g.edge_tgt[e], edges)
+            edges.pop()
 
     extend(start, [])
     return out

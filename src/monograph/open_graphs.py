@@ -7,20 +7,32 @@ by a vertex quotient; tensoring lays graphs side by side.  The monoidal
 laws only hold up to label-respecting isomorphism, which `iso_check`
 decides for desk-sized graphs.
 
-2-morphisms come in three modes (label-preserving, Kleisli, additive) and
-compose vertically.  Horizontal composition of Kleisli-mode 2-morphisms is
-not implemented: gluing two edge-to-path maps along a shared foot has no
-settled recipe, and `compose_2morphisms` only offers the vertical direction.
+2-morphisms come in three modes (label-preserving, Kleisli, additive),
+listed once in `MORPHISM_MODES`, and compose vertically.  Horizontal
+composition of Kleisli-mode 2-morphisms is not implemented: gluing two
+edge-to-path maps along a shared foot has no settled recipe, and
+`compose_2morphisms` only offers the vertical direction.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Union
+from dataclasses import dataclass, replace
+from operator import attrgetter
+from typing import Callable, Optional, Union
 
-from .graphs import Graph, GraphMorphism, LabeledGraph, validate_morphism, is_label_preserving
-from .paths import KleisliMorphism, is_kleisli_morphism
+from .additive import AdditiveMorphism, is_additive_morphism
+from .algebra import MonoidHom
+from .graphs import (
+    Graph,
+    GraphMorphism,
+    LabeledGraph,
+    change_labels,
+    compose_morphisms,
+    is_label_preserving,
+    validate_morphism,
+)
+from .paths import KleisliMorphism, compose_kleisli, is_kleisli_morphism
 from .validation import ValidationReport
 
 
@@ -164,6 +176,82 @@ class OpenGraphMap:
     inner: Union[GraphMorphism, KleisliMorphism]
 
 
+def _check_additive(m: GraphMorphism, src: LabeledGraph, dst: LabeledGraph):
+    return is_additive_morphism(AdditiveMorphism(m, src, dst))
+
+
+def _check_kleisli(k: KleisliMorphism, src: LabeledGraph, dst: LabeledGraph):
+    return is_kleisli_morphism(replace(k, source=src, target=dst))
+
+
+def _no_squares(k: KleisliMorphism) -> ValidationReport:
+    """Kleisli maps have no squares; `is_kleisli_morphism` rejects partial ones."""
+    return ValidationReport(subject="Kleisli morphism")
+
+
+@dataclass(frozen=True)
+class MorphismMode:
+    """One morphism notion: its inner maps, what their endpoints must equal on
+    an open graph (`carrier`), and how to validate, check and compose them.
+    `check(inner, src, dst)` returns ``(ok, witness_edge)``."""
+
+    inner_type: type
+    carrier: Callable[[OpenGraph], object]
+    vertex_map: Callable[[object], tuple[int, ...]]
+    validate: Callable[[object], ValidationReport]
+    check: Callable[[object, LabeledGraph, LabeledGraph], tuple]
+    compose: Callable[[object, object], object]
+
+
+MORPHISM_MODES = {
+    "set": MorphismMode(
+        GraphMorphism, attrgetter("inner.graph"), attrgetter("f0"),
+        validate_morphism, is_label_preserving, compose_morphisms,
+    ),
+    "additive": MorphismMode(
+        GraphMorphism, attrgetter("inner.graph"), attrgetter("f0"),
+        validate_morphism, _check_additive, compose_morphisms,
+    ),
+    "kleisli": MorphismMode(
+        KleisliMorphism, attrgetter("inner"), attrgetter("vertex_map"),
+        _no_squares, _check_kleisli, compose_kleisli,
+    ),
+}
+
+
+def _mode(name: str) -> MorphismMode:
+    try:
+        return MORPHISM_MODES[name]
+    except KeyError:
+        raise ValueError(f"unknown mode {name!r}") from None
+
+
+def grothendieck_morphism_check(
+    phi: MonoidHom,
+    m,
+    src: LabeledGraph,
+    dst: LabeledGraph,
+    mode: str = "set",
+) -> bool:
+    """Check a combined (label map, graph map) morphism in one of three senses.
+
+    The source is relabeled through `phi`, and `m` must then be a morphism
+    of the mode from the relabeled source to `dst`:
+
+    set:      labels transport strictly along edges;
+    additive: relabeled source pushes forward onto the target labeling;
+    kleisli:  `m` maps edges to paths whose grade is the relabeled edge label.
+
+    A graph map whose squares fail to commute raises `ValueError`.
+    """
+    entry = _mode(mode)
+    report = entry.validate(m)
+    if not report.ok:
+        raise ValueError(report.summary())
+    ok, _ = entry.check(m, change_labels(phi, src), dst)
+    return ok
+
+
 def check_2morphism(m: OpenGraphMap, mode: str = "set"):
     """Foot squares must commute and the inner map must pass the mode's
     label condition (label-preserving, Kleisli, or additive).
@@ -171,19 +259,13 @@ def check_2morphism(m: OpenGraphMap, mode: str = "set"):
     Returns ``(True, None)`` or ``(False, witness)`` where the witness names
     the failing foot element or edge.
     """
+    entry = _mode(mode)
     inner = m.inner
-    if mode == "kleisli":
-        if not isinstance(inner, KleisliMorphism):
-            raise ValueError("kleisli mode needs a Kleisli inner map")
-        if inner.source != m.source.inner or inner.target != m.target.inner:
-            raise ValueError("inner map endpoints do not match the open graphs")
-        vmap = inner.vertex_map
-    else:
-        if not isinstance(inner, GraphMorphism):
-            raise ValueError(f"{mode} mode needs a graph morphism inner map")
-        if inner.source != m.source.inner.graph or inner.target != m.target.inner.graph:
-            raise ValueError("inner map endpoints do not match the open graphs")
-        vmap = inner.f0
+    if not isinstance(inner, entry.inner_type):
+        raise ValueError(f"{mode} mode needs a {entry.inner_type.__name__} inner map")
+    if inner.source != entry.carrier(m.source) or inner.target != entry.carrier(m.target):
+        raise ValueError("inner map endpoints do not match the open graphs")
+    vmap = entry.vertex_map(inner)
 
     for a, image in enumerate(m.foot_in):
         if m.target.leg_in[image] != vmap[m.source.leg_in[a]]:
@@ -192,38 +274,20 @@ def check_2morphism(m: OpenGraphMap, mode: str = "set"):
         if m.target.leg_out[image] != vmap[m.source.leg_out[b]]:
             return False, ("right-foot", b)
 
-    if mode == "set":
-        if not validate_morphism(inner).ok:
-            return False, ("inner", "invalid-morphism")
-        ok, witness = is_label_preserving(inner, m.source.inner, m.target.inner)
-        return (True, None) if ok else (False, ("edge", witness))
-    if mode == "kleisli":
-        ok, witness = is_kleisli_morphism(inner)
-        return (True, None) if ok else (False, ("edge", witness))
-    if mode == "additive":
-        from .additive import AdditiveMorphism, is_additive_morphism
-
-        if not validate_morphism(inner).ok:
-            return False, ("inner", "invalid-morphism")
-        ok, witness = is_additive_morphism(AdditiveMorphism(inner, m.source.inner, m.target.inner))
-        return (True, None) if ok else (False, ("edge", witness))
-    raise ValueError(f"unknown mode {mode!r}")
+    if not entry.validate(inner).ok:
+        return False, ("inner", "invalid-morphism")
+    ok, witness = entry.check(inner, m.source.inner, m.target.inner)
+    return (True, None) if ok else (False, ("edge", witness))
 
 
 def compose_2morphisms(outer: OpenGraphMap, inner: OpenGraphMap, mode: str = "set") -> OpenGraphMap:
     """Vertical composite of two 2-morphisms of the same mode."""
+    entry = _mode(mode)
     if inner.target != outer.source:
         raise ValueError("2-morphisms do not compose vertically")
     foot_in = tuple(outer.foot_in[a] for a in inner.foot_in)
     foot_out = tuple(outer.foot_out[b] for b in inner.foot_out)
-    if mode == "kleisli":
-        from .paths import compose_kleisli
-
-        composite = compose_kleisli(outer.inner, inner.inner)
-    else:
-        from .graphs import compose_morphisms
-
-        composite = compose_morphisms(outer.inner, inner.inner)
+    composite = entry.compose(outer.inner, inner.inner)
     return OpenGraphMap(inner.source, outer.target, foot_in, foot_out, composite)
 
 
@@ -254,25 +318,18 @@ def iso_check(g1, g2, max_vertices: int = ISO_VERTEX_LIMIT):
     if graph1.n_vertices > max_vertices:
         raise ValueError(f"iso_check limited to {max_vertices} vertices")
 
-    def edge_key(labels, e):
-        return "" if labels is None else alg1.label_text(labels[e])
+    def keys(g: Graph, labels) -> list[str]:
+        return [""] * g.n_edges if labels is None else [alg1.label_text(x) for x in labels]
 
-    def adjacency(g: Graph, labels):
-        table: dict[tuple[int, int], list] = {}
-        for e in range(g.n_edges):
-            table.setdefault((g.edge_src[e], g.edge_tgt[e]), []).append(edge_key(labels, e))
-        return {k: sorted(v) for k, v in table.items()}
+    keys1, keys2 = keys(graph1, labels1), keys(graph2, labels2)
 
-    adj1 = adjacency(graph1, labels1)
-    adj2 = adjacency(graph2, labels2)
-
-    def signature(g: Graph, labels, v: int):
-        outs = sorted(edge_key(labels, e) for e in range(g.n_edges) if g.edge_src[e] == v)
-        ins = sorted(edge_key(labels, e) for e in range(g.n_edges) if g.edge_tgt[e] == v)
+    def signature(g: Graph, keys: list[str], v: int):
+        outs = sorted(keys[e] for e in g.out_adjacency[v])
+        ins = sorted(keys[e] for e in g.in_adjacency[v])
         return tuple(outs), tuple(ins)
 
-    sig1 = [signature(graph1, labels1, v) for v in range(graph1.n_vertices)]
-    sig2 = [signature(graph2, labels2, v) for v in range(graph2.n_vertices)]
+    sig1 = [signature(graph1, keys1, v) for v in range(graph1.n_vertices)]
+    sig2 = [signature(graph2, keys2, v) for v in range(graph2.n_vertices)]
     if sorted(sig1) != sorted(sig2):
         return False, None
 
@@ -281,11 +338,17 @@ def iso_check(g1, g2, max_vertices: int = ISO_VERTEX_LIMIT):
     used = [False] * n
 
     def consistent(v: int, w: int) -> bool:
-        for u in range(v + 1):
-            img = assignment[u] if u < v else w
-            for (a, b), (fa, fb) in (((v, u), (w, img)), ((u, v), (img, w))):
-                if adj1.get((a, b), []) != adj2.get((fa, fb), []):
-                    return False
+        # the edges between v and the vertices assigned so far (v included)
+        # must match, keyed by far end and label, those between w and the images
+        image = assignment[:v] + [w]
+        for adjacency1, adjacency2, far1, far2 in (
+            (graph1.out_adjacency, graph2.out_adjacency, graph1.edge_tgt, graph2.edge_tgt),
+            (graph1.in_adjacency, graph2.in_adjacency, graph1.edge_src, graph2.edge_src),
+        ):
+            near1 = sorted((image[far1[e]], keys1[e]) for e in adjacency1[v] if far1[e] <= v)
+            near2 = sorted((far2[e], keys2[e]) for e in adjacency2[w] if far2[e] in image)
+            if near1 != near2:
+                return False
         return True
 
     def backtrack(v: int) -> bool:
@@ -306,17 +369,10 @@ def iso_check(g1, g2, max_vertices: int = ISO_VERTEX_LIMIT):
 
     f0 = tuple(assignment)  # type: ignore[arg-type]
     # pair up parallel edges between matched endpoints by label, then id
-    by_pair1: dict[tuple[int, int], list[int]] = {}
-    by_pair2: dict[tuple[int, int], list[int]] = {}
-    for e in range(graph1.n_edges):
-        by_pair1.setdefault((graph1.edge_src[e], graph1.edge_tgt[e]), []).append(e)
-        by_pair2.setdefault((graph2.edge_src[e], graph2.edge_tgt[e]), []).append(e)
     f1 = [0] * graph1.n_edges
-    for (a, b), edges1 in by_pair1.items():
-        edges2 = by_pair2[(f0[a], f0[b])]
-        for e1, e2 in zip(
-            sorted(edges1, key=lambda e: (edge_key(labels1, e), e)),
-            sorted(edges2, key=lambda e: (edge_key(labels2, e), e)),
-        ):
+    for a in range(n):
+        edges1 = sorted(graph1.out_adjacency[a], key=lambda e: (f0[graph1.edge_tgt[e]], keys1[e], e))
+        edges2 = sorted(graph2.out_adjacency[f0[a]], key=lambda e: (graph2.edge_tgt[e], keys2[e], e))
+        for e1, e2 in zip(edges1, edges2):
             f1[e1] = e2
     return True, (f0, tuple(f1))

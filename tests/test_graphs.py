@@ -39,6 +39,34 @@ class TestValidateMorphism:
         assert any(v.code == "dangling-vertex" for v in report.violations)
 
 
+class TestAdjacency:
+    def test_matches_the_edge_scan_on_random_multigraphs(self):
+        rng = random.Random(29)
+        self_loops = parallel = 0
+        for _ in range(200):
+            g = rand_graph(rng, 4, 10)
+            pairs = list(zip(g.edge_src, g.edge_tgt))
+            self_loops += any(s == t for s, t in pairs)
+            parallel += len(set(pairs)) < len(pairs)
+            for v in range(g.n_vertices):
+                assert g.out_adjacency[v] == tuple(e for e in range(g.n_edges) if g.edge_src[e] == v)
+                assert g.in_adjacency[v] == tuple(e for e in range(g.n_edges) if g.edge_tgt[e] == v)
+        assert self_loops and parallel
+
+    def test_edge_lists_are_fresh_copies(self):
+        g = mg.graph(["u", "v"], [(0, 1), (0, 1), (1, 0), (1, 1)])
+        g.out_edges(0).append(3)
+        g.in_edges(1).clear()
+        assert g.out_edges(0) == [0, 1]
+        assert g.in_edges(1) == [0, 1, 3]
+
+    def test_cached_adjacency_leaves_equality_and_hash_alone(self):
+        a = mg.graph(["u", "v"], [(0, 1), (1, 0)])
+        b = mg.graph(["u", "v"], [(0, 1), (1, 0)])
+        assert a.out_adjacency == ((0,), (1,))
+        assert a == b and hash(a) == hash(b)
+
+
 class TestLabelPreservation:
     def test_refinement_preserves_plus_labels(self):
         m = refinement()
@@ -174,6 +202,19 @@ class TestGrothendieckCheck:
         negated = mg.labeled_graph(["u", "w"], [(0, 1)], rat, [-6])
         k_bad = mg.KleisliMorphism(negated, dst, (0, 2), (mg.Path(0, (0, 1)),))
         assert not mg.grothendieck_morphism_check(mg.sign_hom(), k_bad, negated, dst, "kleisli")
+
+    def test_non_commuting_square_raises(self):
+        fine = mg.graph(["a", "b"], [(0, 1)])
+        coarse = mg.graph(["x", "y"], [(0, 1)])
+        swapped = mg.GraphMorphism(fine, coarse, (1, 0), (0,))
+        src = mg.LabeledGraph(fine, SIGN, (0,))
+        dst = mg.LabeledGraph(coarse, SIGN, (0,))
+        identity = mg.MonoidHom(SIGN, SIGN, mapping=(0, 1))
+        for mode in ("set", "additive"):
+            with pytest.raises(ValueError, match="source-square"):
+                mg.grothendieck_morphism_check(identity, swapped, src, dst, mode)
+        with pytest.raises(ValueError, match="unknown mode"):
+            mg.grothendieck_morphism_check(identity, swapped, src, dst, "strict")
 
 
 class TestSemiautomaton:

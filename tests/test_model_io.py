@@ -140,6 +140,22 @@ class TestParsing:
         model = mg.parse_model(text)
         assert model.algebra == mg.CATALOG["BOOL"]
 
+    @pytest.mark.parametrize("key", ["unit", "zero"])
+    def test_boolean_unit_or_zero_is_a_bad_table(self, key):
+        algebra = {
+            "kind": "finite-table",
+            "elements": ["0", "1"],
+            "mul_table": [0, 0, 0, 1],
+            "add_table": [0, 1, 1, 1],
+            "unit": 1,
+            "zero": 0,
+        }
+        algebra[key] = True
+        with pytest.raises(ModelFormatError) as excinfo:
+            mg.parse_model(json.dumps({"format": 1, "algebra": algebra}))
+        assert excinfo.value.code == "bad-table"
+        assert f"{key} True is not an element index" in str(excinfo.value)
+
     def test_morphism_section_round_trips(self):
         text = json.dumps(
             {

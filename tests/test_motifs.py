@@ -6,7 +6,7 @@ import pytest
 
 import monograph as mg
 
-from helpers import SIGN, homework, host, oracle_motif_occurrences, rand_graph, rand_labels
+from helpers import SIGN, homework, host, oracle_motif_occurrences, oracle_paths, rand_graph, rand_labels
 
 
 class TestCatalog:
@@ -35,6 +35,20 @@ class TestCatalog:
     def test_unknown_name_is_rejected(self):
         with pytest.raises(KeyError):
             mg.builtin_motif("quadruple-negative-feedback")
+
+
+class TestPathsBetween:
+    def test_matches_the_oracle_in_lexicographic_order(self):
+        # the oracle is breadth-first; sorting its edge tuples gives the
+        # documented order, prefixes first
+        rng = random.Random(31)
+        for _ in range(40):
+            g = rand_labels(rng, rand_graph(rng, 4, 8), SIGN)
+            for max_len in range(4):
+                for u in range(g.graph.n_vertices):
+                    for v in range(g.graph.n_vertices):
+                        found = [p.edges for p in mg.paths_between(g, u, v, max_len)]
+                        assert found == sorted(oracle_paths(g.graph, u, v, max_len))
 
 
 class TestFindMotifs:

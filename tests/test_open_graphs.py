@@ -160,6 +160,14 @@ class TestTwoMorphisms:
         inner = mg.KleisliMorphism(src, dst, (0, 2), (mg.Path(0, (0, 1)),))
         assert mg.check_2morphism(mg.OpenGraphMap(x, y, (0,), (0,), inner), "kleisli") == (True, None)
 
+    def test_unknown_mode_is_rejected(self):
+        first = _parallel_collapse(4, 2)
+        second = _parallel_collapse(2, 1)
+        with pytest.raises(ValueError, match="unknown mode"):
+            mg.check_2morphism(first, "strict")
+        with pytest.raises(ValueError, match="unknown mode"):
+            mg.compose_2morphisms(second, first, "strict")
+
 
 def _parallel_open(k: int) -> mg.OpenGraph:
     """k parallel + edges from u to v, with one input and one output leg."""

@@ -136,6 +136,18 @@ class TestKleisli:
         k = mg.KleisliMorphism(src, dst, (0, 2), (mg.Path(0, (0, 1)),))
         assert mg.kleisli_respects_hom(mg.sign_hom(), k)
 
+    def test_partial_maps_raise_through_the_hom(self):
+        rat = mg.named_algebra("RatMulMonoid")
+        src = mg.labeled_graph(["u", "w"], [(0, 1)], rat, [6])
+        dst = mg.labeled_graph(["u", "v", "w"], [(0, 1), (1, 2)], mg.CATALOG["SIGN0"], ["+", "+"])
+        short = mg.KleisliMorphism(src, dst, (0, 2), ())
+        dangling = mg.KleisliMorphism(src, dst, (0, 7), (mg.Path(0, (0, 1)),))
+        for k in (short, dangling):
+            with pytest.raises(ValueError, match="not total|missing vertex"):
+                mg.kleisli_respects_hom(mg.sign_hom(), k)
+            with pytest.raises(ValueError, match="not total|missing vertex"):
+                mg.grothendieck_morphism_check(mg.sign_hom(), k, src, dst, "kleisli")
+
 
 def _random_kleisli_into(rng: random.Random, target: mg.LabeledGraph) -> mg.KleisliMorphism:
     """Build a valid Kleisli morphism by choosing bounded paths first, then
