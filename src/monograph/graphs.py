@@ -155,6 +155,10 @@ def _require_valid(m: GraphMorphism) -> None:
 
 def is_label_preserving(m: GraphMorphism, src: LabeledGraph, dst: LabeledGraph):
     """True iff every edge keeps its label along the map; witness edge otherwise."""
+    if m.source != src.graph:
+        raise ValueError("morphism source does not match the labeled graph")
+    if m.target != dst.graph:
+        raise ValueError("morphism target does not match the labeled graph")
     if src.algebra != dst.algebra:
         raise ValueError("both graphs must share one label algebra")
     for e in range(m.source.n_edges):

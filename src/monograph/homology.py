@@ -14,7 +14,9 @@ Brute-force enumerators double as oracles for all of the above at desk scale.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .algebra import BuiltinAlgebra, Element, LabelAlgebra, TableAlgebra
@@ -137,8 +139,14 @@ class SimpleLoop:
 
 
 def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:
+    """The rotation starting at the least edge id.
+
+    The edge ids of a simple loop are distinct, so this is its
+    lexicographically smallest rotation.
+    """
     seq = tuple(edges)
-    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+    i = seq.index(min(seq))
+    return seq[i:] + seq[:i]
 
 
 def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
@@ -156,40 +164,145 @@ def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
 LOOP_CAP = 10000
 
 
+def _split_components(vertices: list[int], comp: list[int], members: list[list[int]], g: Graph) -> None:
+    """Give each strongly connected component of the subgraph induced on
+    `vertices` a fresh id: its index in `members`, which it is appended to.
+
+    `vertices` are exactly the vertices v with ``comp[v]`` equal to
+    ``comp[vertices[0]]``.  Tarjan's algorithm with explicit stacks, so
+    deep graphs stay off the interpreter stack; a visited vertex keeps its
+    old id exactly while it is on Tarjan's stack.
+    """
+    inside = comp[vertices[0]]
+    out_adjacency, edge_tgt = g.out_adjacency, g.edge_tgt
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    for root in vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        frames = [(root, iter(out_adjacency[root]))]
+        while frames:
+            v, edges = frames[-1]
+            for e in edges:
+                w = edge_tgt[e]
+                if comp[w] != inside:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    frames.append((w, iter(out_adjacency[w])))
+                    break
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames and low[v] < low[frames[-1][0]]:
+                    low[frames[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    block = []
+                    while True:
+                        w = stack.pop()
+                        comp[w] = len(members)
+                        block.append(w)
+                        if w == v:
+                            break
+                    members.append(block)
+
+
+def _circuits_through(s: int, comp: list[int], g: Graph, found: list[SimpleLoop], cap: int) -> bool:
+    """Johnson's circuit search from `s` inside its component, the
+    vertices sharing ``comp[s]``, of which `s` is the least.
+
+    Edges are tried in `out_adjacency` order, and a vertex is blocked only
+    while every path from it back to `s` meets the current trail, so the
+    circuits come out in the order of the unpruned depth-first search.
+    Appends them to `found`; returns False once `found` reaches `cap`.
+    """
+    inside = comp[s]
+    out_adjacency, edge_tgt = g.out_adjacency, g.edge_tgt
+    blocked = {s}
+    waiting: dict[int, set[int]] = {}  # Johnson's B lists
+    trail: list[int] = []
+    # [vertex, its untried out-edges, whether a circuit closed through it]
+    frames = [[s, iter(out_adjacency[s]), False]]
+    while frames:
+        frame = frames[-1]
+        for e in frame[1]:
+            w = edge_tgt[e]
+            if w == s:
+                trail.append(e)
+                found.append(SimpleLoop(canonical_rotation(trail)))
+                trail.pop()
+                if len(found) >= cap:
+                    return False
+                frame[2] = True
+            elif comp[w] == inside and w not in blocked:
+                blocked.add(w)
+                trail.append(e)
+                frames.append([w, iter(out_adjacency[w]), False])
+                break
+        else:
+            frames.pop()
+            v, _, closed = frame
+            if closed:
+                pending = [v]
+                while pending:
+                    u = pending.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        pending.extend(waiting.pop(u, ()))
+            else:
+                for e in out_adjacency[v]:
+                    w = edge_tgt[e]
+                    if comp[w] == inside:
+                        waiting.setdefault(w, set()).add(v)
+            if frames:
+                trail.pop()
+                if closed:
+                    frames[-1][2] = True
+    return True
+
+
 def simple_loops(g: Graph, cap: int = LOOP_CAP):
     """All elementary directed circuits, one per rotation class.
 
     Parallel edges give distinct circuits.  Returns ``(loops, truncated)``
     sorted by canonical edge sequence; `truncated` reports hitting the cap.
+    The loops kept are then the first `cap` met when each circuit is
+    anchored at its least vertex and searched depth first in
+    `out_adjacency` order.
+
+    Johnson's algorithm: anchor `s` searches only inside its strongly
+    connected component of the subgraph induced on {s, ..., n-1}.  After
+    the search `s` leaves the graph and only its own component is split
+    again, so vertices on no circuit cost O(1) each.
     """
-    out_adjacency = g.out_adjacency
     found: list[SimpleLoop] = []
-    truncated = False
-
-    def search(anchor: int, at: int, visited: set[int], trail: list[int]) -> bool:
-        # circuits are anchored at their minimal vertex, so each rotation
-        # class is produced exactly once
-        for e in out_adjacency[at]:
-            w = g.edge_tgt[e]
-            if w == anchor:
-                found.append(SimpleLoop(canonical_rotation(trail + [e])))
-                if len(found) >= cap:
-                    return False
-            elif w > anchor and w not in visited:
-                visited.add(w)
-                trail.append(e)
-                keep_going = search(anchor, w, visited, trail)
-                trail.pop()
-                visited.remove(w)
-                if not keep_going:
-                    return False
-        return True
-
-    for anchor in range(g.n_vertices):
-        if not search(anchor, anchor, {anchor}, []):
-            truncated = True
-            break
-    return sorted(found, key=lambda loop: loop.edges), truncated
+    # comp[v]: the id of v's component, an index into `members`; -1 before
+    # the first split and once v has been an anchor
+    comp = [-1] * g.n_vertices
+    members: list[list[int]] = []
+    if g.n_vertices:
+        _split_components(list(range(g.n_vertices)), comp, members, g)
+    out_adjacency, edge_tgt = g.out_adjacency, g.edge_tgt
+    for s in range(g.n_vertices):
+        block = members[comp[s]]
+        if len(block) == 1:
+            # only self-loops close here, and no later search enters `s`
+            for e in out_adjacency[s]:
+                if edge_tgt[e] == s:
+                    found.append(SimpleLoop((e,)))
+                    if len(found) >= cap:
+                        return sorted(found, key=lambda loop: loop.edges), True
+            continue
+        if not _circuits_through(s, comp, g, found, cap):
+            return sorted(found, key=lambda loop: loop.edges), True
+        comp[s] = -1
+        _split_components([v for v in block if v != s], comp, members, g)
+    return sorted(found, key=lambda loop: loop.edges), False
 
 
 def decompose_cycle(c: Chain, g: Graph) -> list[SimpleLoop]:
@@ -273,6 +386,22 @@ class Relation:
     rhs: tuple[int, ...]
 
 
+def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= factor * other, for sparse rows that omit zero entries."""
+    for col, x in other.items():
+        y = row.get(col, 0) - factor * x
+        if y:
+            row[col] = y
+        else:
+            del row[col]
+
+
+def _space_text(base: int, exponent: int, guard: int, at_least: bool = False) -> str:
+    digits = str(guard)
+    guard_text = f"10^{len(digits) - 1}" if len(digits) > 1 and digits.rstrip("0") == "1" else digits
+    return f"relation search space {'at least ' if at_least else ''}{base}^{exponent} > guard {guard_text}"
+
+
 def find_relations(
     loops: Sequence[SimpleLoop], bound: int = 1, guard: int = 10**6
 ) -> list[Relation]:
@@ -281,24 +410,67 @@ def find_relations(
     Pairs that merely add a common part to both sides of a smaller relation
     are excluded: sides must have disjoint support.  Symmetric duplicates are
     reported once, smaller side first.
+
+    Such a pair is (z+, z-) for a nonzero integer vector z with every
+    |z_i| <= bound in the kernel of the edge-by-loop incidence matrix, taken
+    once up to sign.  Exact row reduction leaves d = k - rank free
+    coordinates; all (2*bound + 1)^d values of them are tried, keeping those
+    whose pivot coordinates come out integral and within the bound.  Raises
+    ValueError when that count exceeds `guard`.
     """
     k = len(loops)
-    if (bound + 1) ** k > guard:
-        raise ValueError("relation search space exceeds the guard")
-    sums: dict[tuple, list[tuple[int, ...]]] = {}
-    for vector in itertools.product(range(bound + 1), repeat=k):
-        total: dict[int, int] = {}
-        for coefficient, loop in zip(vector, loops):
-            if coefficient:
-                for e in loop.edges:
-                    total[e] = total.get(e, 0) + coefficient
-        key = tuple(sorted(total.items()))
-        sums.setdefault(key, []).append(vector)
+    base = 2 * bound + 1
+    # one row per edge, counting the loops through it; repeated rows add no rank
+    by_edge: dict[int, dict[int, int]] = {}
+    for i, loop in enumerate(loops):
+        for e in loop.edges:
+            counts = by_edge.setdefault(e, {})
+            counts[i] = counts.get(i, 0) + 1
+    rows = {tuple(counts.items()) for counts in by_edge.values()}
+    least_free = max(k - len(rows), 0)
+    if base ** least_free > guard:
+        raise ValueError(_space_text(base, least_free, guard, at_least=True))
+    # Gauss-Jordan elimination, one row at a time: each pivot row has a 1 in
+    # its pivot column and 0 in every other pivot column
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for items in rows:
+        row = {col: Fraction(x) for col, x in items}
+        for col, pivot_row in pivots.items():
+            if col in row:
+                _subtract(row, row[col], pivot_row)
+        if not row:
+            continue
+        col = min(row)
+        lead = row[col]
+        row = {c: x / lead for c, x in row.items()}
+        for pivot_row in pivots.values():
+            if col in pivot_row:
+                _subtract(pivot_row, pivot_row[col], row)
+        pivots[col] = row
+    free = [col for col in range(k) if col not in pivots]
+    if base ** len(free) > guard:
+        raise ValueError(_space_text(base, len(free), guard))
+    # z[p] = -sum(row[f] * z[f]) over free f, scaled to integers: z[p] = -num / den
+    solved = []
+    for col, row in pivots.items():
+        den = math.lcm(*(row[f].denominator for f in free if f in row))
+        solved.append((col, den, [(f, int(row[f] * den)) for f in free if f in row]))
     relations = []
-    for vectors in sums.values():
-        for lhs, rhs in itertools.combinations(vectors, 2):
-            if all(min(a, b) == 0 for a, b in zip(lhs, rhs)):
-                relations.append(Relation(min(lhs, rhs), max(lhs, rhs)))
+    for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        if next((x for x in values if x), 0) <= 0:
+            continue  # zero, or the negative of a vector also tried
+        z = [0] * k
+        for f, x in zip(free, values):
+            z[f] = x
+        for col, den, terms in solved:
+            num = sum(c * z[f] for f, c in terms)
+            if num % den or abs(num) > bound * den:
+                break
+            z[col] = -num // den
+        else:
+            lhs = tuple(max(x, 0) for x in z)
+            rhs = tuple(max(-x, 0) for x in z)
+            relations.append(Relation(min(lhs, rhs), max(lhs, rhs)))
     return sorted(relations, key=lambda r: (r.lhs, r.rhs))
 
 

@@ -265,6 +265,8 @@ def check_2morphism(m: OpenGraphMap, mode: str = "set"):
         raise ValueError(f"{mode} mode needs a {entry.inner_type.__name__} inner map")
     if inner.source != entry.carrier(m.source) or inner.target != entry.carrier(m.target):
         raise ValueError("inner map endpoints do not match the open graphs")
+    if not entry.validate(inner).ok:
+        return False, ("inner", "invalid-morphism")
     vmap = entry.vertex_map(inner)
 
     for a, image in enumerate(m.foot_in):
@@ -274,8 +276,6 @@ def check_2morphism(m: OpenGraphMap, mode: str = "set"):
         if m.target.leg_out[image] != vmap[m.source.leg_out[b]]:
             return False, ("right-foot", b)
 
-    if not entry.validate(inner).ok:
-        return False, ("inner", "invalid-morphism")
     ok, witness = entry.check(inner, m.source.inner, m.target.inner)
     return (True, None) if ok else (False, ("edge", witness))
 

@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 import monograph as mg
+from monograph.homology import LOOP_CAP
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -168,3 +169,52 @@ def oracle_motif_occurrences(motif: mg.LabeledGraph, host_graph: mg.LabeledGraph
         for combo in itertools.product(*per_edge):
             hits.add((assignment, combo))
     return hits
+
+
+def oracle_simple_loops(g: mg.Graph, cap: int = LOOP_CAP):
+    """Unpruned depth-first circuit search: every path from each anchor
+    over larger vertices, in ascending edge order, stopping at `cap`."""
+    found = []
+
+    def search(anchor, at, visited, trail):
+        for e in range(g.n_edges):
+            if g.edge_src[e] != at:
+                continue
+            w = g.edge_tgt[e]
+            if w == anchor:
+                seq = trail + [e]
+                found.append(mg.SimpleLoop(min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))))
+                if len(found) >= cap:
+                    return False
+            elif w > anchor and w not in visited:
+                if not search(anchor, w, visited | {w}, trail + [e]):
+                    return False
+        return True
+
+    truncated = False
+    for anchor in range(g.n_vertices):
+        if not search(anchor, anchor, {anchor}, []):
+            truncated = True
+            break
+    return sorted(found, key=lambda loop: loop.edges), truncated
+
+
+def oracle_relations(loops, bound: int):
+    """Every pair of coefficient vectors in [0, bound]^k with disjoint
+    supports and equal edge sums, found by hashing all of them."""
+    import itertools
+
+    sums = {}
+    for vector in itertools.product(range(bound + 1), repeat=len(loops)):
+        total = {}
+        for coefficient, loop in zip(vector, loops):
+            if coefficient:
+                for e in loop.edges:
+                    total[e] = total.get(e, 0) + coefficient
+        sums.setdefault(tuple(sorted(total.items())), []).append(vector)
+    relations = []
+    for vectors in sums.values():
+        for lhs, rhs in itertools.combinations(vectors, 2):
+            if all(min(a, b) == 0 for a, b in zip(lhs, rhs)):
+                relations.append(mg.Relation(min(lhs, rhs), max(lhs, rhs)))
+    return sorted(relations, key=lambda r: (r.lhs, r.rhs))

@@ -117,6 +117,44 @@ class TestComposeAndTensor:
         assert code == 0 and "9 vertices, 9 edges" in out
 
 
+@pytest.fixture
+def deep_ring(tmp_path):
+    n = 3000
+    path = tmp_path / "ring.json"
+    path.write_text(
+        json.dumps(
+            {
+                "format": 1,
+                "graph": {
+                    "algebra": "SIGN",
+                    "vertices": [{"id": f"v{i}"} for i in range(n)],
+                    "edges": [
+                        {"id": f"e{i}", "src": f"v{i}", "tgt": f"v{(i + 1) % n}", "label": "+"}
+                        for i in range(n)
+                    ],
+                },
+            }
+        )
+    )
+    return path, n
+
+
+class TestDeepRing:
+    def test_loops(self, capsys, deep_ring):
+        path, n = deep_ring
+        code, out, err = run(capsys, "loops", path, "--json")
+        assert code == 0 and not err
+        [row] = json.loads(out)["loops"]
+        assert row["edges"] == [f"e{i}" for i in range(n)]
+
+    def test_homology(self, capsys, deep_ring):
+        path, n = deep_ring
+        code, out, err = run(capsys, "homology", path, "--bound", "2", "--json")
+        assert code == 0 and not err
+        payload = json.loads(out)
+        assert len(payload["generators"]) == 1 and payload["relations"] == []
+
+
 class TestHomology:
     def test_quad_report(self, capsys):
         code, out, _ = run(capsys, "homology", FIXTURES / "q4.json")

@@ -78,6 +78,17 @@ class TestLabelPreservation:
         g = homework()
         assert mg.is_label_preserving(mg.identity_morphism(g.graph), g, g) == (True, None)
 
+    def test_graphs_must_be_the_morphism_endpoints(self):
+        two = mg.labeled_graph(["u", "v"], [(0, 1), (1, 0)], SIGN, ["+", "-"])
+        one = mg.labeled_graph(["u", "v"], [(0, 1)], SIGN, ["+"])
+        identity = mg.identity_morphism(two.graph)
+        with pytest.raises(ValueError, match="source does not match"):
+            mg.is_label_preserving(identity, one, two)
+        with pytest.raises(ValueError, match="target does not match"):
+            mg.is_label_preserving(identity, two, one)
+        with pytest.raises(ValueError, match="source does not match"):
+            mg.grothendieck_morphism_check(mg.MonoidHom(SIGN, SIGN, mapping=(0, 1)), identity, one, two, "set")
+
     def test_relabeled_target_yields_witness(self):
         m = refinement()
         fine = mg.LabeledGraph(m.source, SIGN, (0, 0))

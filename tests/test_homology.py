@@ -7,9 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
-from monograph.homology import NAT
+from monograph.homology import LOOP_CAP, NAT, canonical_rotation
 
-from helpers import BOOL, SIGN, bfs_components, g2, homework, p2, q4, r5, rand_graph
+from helpers import (
+    BOOL,
+    SIGN,
+    bfs_components,
+    g2,
+    homework,
+    oracle_relations,
+    oracle_simple_loops,
+    p2,
+    q4,
+    r5,
+    rand_graph,
+)
 
 from test_algebra import cyclic_group
 
@@ -89,6 +101,32 @@ class TestSimpleLoops:
     def test_truncation_cap(self):
         loops, truncated = mg.simple_loops(q4(), cap=2)
         assert truncated and len(loops) == 2
+
+    def test_deep_ring_has_one_loop(self):
+        n = 10**5
+        ring = mg.graph([f"v{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+        loops, truncated = mg.simple_loops(ring)
+        assert not truncated
+        assert [l.edges for l in loops] == [tuple(range(n))]
+
+    def test_dead_ends_are_pruned(self):
+        # the complete DAG has 2^58 paths from vertex 0 to vertex 59
+        n = 60
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)] + [(31, 30)]
+        loops, truncated = mg.simple_loops(mg.graph([f"v{i}" for i in range(n)], edges))
+        assert not truncated
+        assert [l.edges for l in loops] == [(edges.index((30, 31)), len(edges) - 1)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_unpruned_search_at_every_cap(self, rnd):
+        g = rand_graph(rnd, 6, 11)
+        for cap in (1, 2, 3, 4, 5, LOOP_CAP):
+            assert mg.simple_loops(g, cap) == oracle_simple_loops(g, cap)
+
+    def test_canonical_rotation_starts_at_the_least_edge(self):
+        assert canonical_rotation((5, 2, 7, 3)) == (2, 7, 3, 5)
+        assert canonical_rotation((4,)) == (4,)
 
     def test_minimal_circulations_match_loops_exactly(self):
         rng = random.Random(19)
@@ -229,9 +267,29 @@ class TestRelations:
             assert lhs == rhs
 
     def test_guard(self):
-        loops = [mg.SimpleLoop((i,)) for i in range(25)]
-        with pytest.raises(ValueError):
+        # 4 parallel edges each way: 16 loops of rank 7, so a 9-dimensional kernel
+        g = mg.graph(["u", "v"], [(0, 1)] * 4 + [(1, 0)] * 4)
+        loops, _ = mg.simple_loops(g)
+        with pytest.raises(ValueError, match=r"relation search space 5\^9 > guard 10\^6$"):
+            mg.find_relations(loops, 2)
+        # 16 loops over 8 distinct edge rows leave at least 8 free coordinates
+        with pytest.raises(ValueError, match=r"relation search space at least 7\^8 > guard 10\^6$"):
             mg.find_relations(loops, 3)
+        relations = mg.find_relations(loops, 1)
+        assert relations and all(_combine(loops, r.lhs) == _combine(loops, r.rhs) for r in relations)
+
+    def test_independent_loops_have_no_relations(self):
+        loops = [mg.SimpleLoop((i,)) for i in range(25)]
+        assert mg.find_relations(loops, 3) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_exhaustive_search(self, rnd):
+        g = rand_graph(rnd, 4, 9)
+        loops, _ = mg.simple_loops(g)
+        loops = loops[:8]
+        for bound in (0, 1, 2):
+            assert mg.find_relations(loops, bound) == oracle_relations(loops, bound)
 
 
 def _combine(loops, vector):

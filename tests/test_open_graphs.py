@@ -138,11 +138,26 @@ class TestTwoMorphisms:
 
     def test_broken_foot_square_is_witnessed(self):
         x = _parallel_open(1)
-        bad = mg.OpenGraphMap(x, x, (0,), (0,), mg.GraphMorphism(
+        # the same edge, with the output leg moved to a third vertex
+        y = mg.OpenGraph(
+            mg.labeled_graph(["u", "v", "w"], [(0, 1)], SIGN, ["+"]), ("a",), ("b",), (0,), (2,)
+        )
+        bad = mg.OpenGraphMap(x, y, (0,), (0,), mg.GraphMorphism(
+            x.inner.graph, y.inner.graph, (0, 1), (0,)
+        ))
+        assert mg.check_2morphism(bad, "set") == (False, ("right-foot", 0))
+        # an invalid inner map is reported before any foot square is read
+        worse = mg.OpenGraphMap(x, x, (0,), (0,), mg.GraphMorphism(
             x.inner.graph, x.inner.graph, (0, 0), (0,)
         ))
-        ok, witness = mg.check_2morphism(bad, "set")
-        assert not ok and witness[0] == "right-foot"
+        assert mg.check_2morphism(worse, "set") == (False, ("inner", "invalid-morphism"))
+
+    def test_partial_vertex_map_is_an_invalid_inner_map(self):
+        x = _parallel_open(1)
+        partial = mg.OpenGraphMap(x, x, (0,), (0,), mg.GraphMorphism(
+            x.inner.graph, x.inner.graph, (0,), (0,)
+        ))
+        assert mg.check_2morphism(partial, "set") == (False, ("inner", "invalid-morphism"))
 
     def test_additive_mode_checks_fiber_sums(self):
         src = mg.labeled_graph(["p", "q"], [(0, 1), (0, 1)], NAT, [2, 3])
