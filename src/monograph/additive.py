@@ -8,14 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import _coefficient_view
 from .graphs import GraphMorphism, LabeledGraph, validate_morphism
 
 
 def _check_coefficient_algebra(src: LabeledGraph, dst: LabeledGraph) -> None:
     if src.algebra != dst.algebra:
         raise ValueError("both graphs must share one label algebra")
-    algebra = src.algebra
-    if not (algebra.is_rig or algebra.flags.commutative):
+    if _coefficient_view(src.algebra) is None:
         raise ValueError("additive morphisms need a commutative label algebra")
 
 
@@ -50,10 +50,11 @@ def pushforward_labeling(m: GraphMorphism, src: LabeledGraph) -> LabeledGraph:
         raise ValueError(report.summary())
     if m.source != src.graph:
         raise ValueError("morphism source does not match the labeled graph")
-    algebra = src.algebra
-    if not (algebra.is_rig or algebra.flags.commutative):
+    view = _coefficient_view(src.algebra)
+    if view is None:
         raise ValueError("pushforward needs a commutative label algebra")
-    sums = [algebra.zero] * m.target.n_edges
+    add, zero = view
+    sums = [zero] * m.target.n_edges
     for e in range(m.source.n_edges):
-        sums[m.f1[e]] = algebra.add(sums[m.f1[e]], src.labels[e])
-    return LabeledGraph(m.target, algebra, tuple(sums))
+        sums[m.f1[e]] = add(sums[m.f1[e]], src.labels[e])
+    return LabeledGraph(m.target, src.algebra, tuple(sums))

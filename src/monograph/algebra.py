@@ -13,14 +13,17 @@ algebra exposes the same interface:
 
 * ``mul(a, b)`` / ``one`` -- the monoid operation used to grade paths.  For
   additive builtins such as ``NatAdd`` this single operation *is* addition.
-* ``add(a, b)`` / ``zero`` -- the commutative operation used for chain
-  coefficients and additive morphisms.  Rigs have a genuinely separate
-  addition; a plain commutative monoid reuses its one operation.
+* ``add(a, b)`` / ``zero`` -- the coefficient view: the commutative
+  operation used for chain coefficients and additive morphisms.  A rig
+  uses its own addition and zero; a commutative monoid reuses ``mul`` and
+  ``one`` (so ``RatMulMonoid`` adds by its product, with zero 1); any
+  other algebra has no coefficient view and raises ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +42,33 @@ class Flags:
     cancellative: bool = False
 
 
+class _CoefficientView:
+    """``add`` and ``zero`` of the coefficient view, for both algebra kinds.
+
+    `_coefficient_view` is asked once, at construction.  ``add`` becomes a
+    plain instance attribute, so ``algebra.add(a, b)`` costs one call, like
+    a method.  (Caching it later through ``__dict__`` would turn every
+    attribute load of the instance into a slow dictionary lookup.)
+    """
+
+    def __post_init__(self):
+        view = _coefficient_view(self)
+        object.__setattr__(self, "_coefficients", view)
+        object.__setattr__(self, "add", self._no_view if view is None else view[0])
+
+    @property
+    def zero(self) -> Element:
+        if self._coefficients is None:
+            self._no_view()
+        return self._coefficients[1]
+
+    def _no_view(self, *_):
+        name = algebra_name(self) or "this algebra"
+        raise ValueError(f"{name} has no coefficient view: it is neither a rig nor commutative")
+
+
 @dataclass(frozen=True)
-class TableAlgebra:
+class TableAlgebra(_CoefficientView):
     """A finite monoid or rig given by explicit row-major operation tables.
 
     ``mul_table[a * n + b]`` is the index of the product of elements ``a``
@@ -54,8 +82,6 @@ class TableAlgebra:
     zero_index: Optional[int] = None
     flags: Flags = Flags()
 
-    kind = "finite-table"
-
     @property
     def size(self) -> int:
         return len(self.elements)
@@ -68,24 +94,15 @@ class TableAlgebra:
     def one(self) -> int:
         return self.unit
 
-    @property
-    def zero(self) -> int:
-        """Identity of the coefficient (additive) view."""
-        if self.add_table is not None:
-            return self.zero_index  # type: ignore[return-value]
-        if not self.flags.commutative:
-            raise ValueError("additive view requires a commutative operation")
-        return self.unit
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a * len(self.elements) + b]
 
-    def add(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return self.add_table[a * len(self.elements) + b]
-        if not self.flags.commutative:
-            raise ValueError("additive view requires a commutative operation")
-        return self.mul(a, b)
+    def _rig_add(self, a: int, b: int) -> int:
+        return self.add_table[a * len(self.elements) + b]
+
+    @property
+    def _rig_zero(self) -> Optional[int]:
+        return self.zero_index
 
     def contains(self, x: Element) -> bool:
         return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.size
@@ -102,17 +119,61 @@ class TableAlgebra:
         return range(self.size)
 
 
-@dataclass(frozen=True)
-class _BuiltinOps:
+@dataclass(frozen=True, eq=False, repr=False)
+class BuiltinAlgebra(_CoefficientView):
+    """An infinite algebra with exact arithmetic.
+
+    Equality, hashing and repr go by ``builtin_id`` alone; the operations
+    are carried along.  ``_rig_add``/``_rig_zero`` are a rig's own addition.
+    ``cancellation_witness`` is a known (c, d, e) with c+e = d+e, c != d.
+    """
+
+    builtin_id: str
     mul: Callable[[Element, Element], Element]
     one: Element
     contains: Callable[[Any], bool]
-    parse: Callable[[Any], Element]
+    parse_label: Callable[[Any], Element]
     sample: Callable[[random.Random], Element]
-    add: Optional[Callable[[Element, Element], Element]] = None
-    zero: Optional[Element] = None
     flags: Flags = Flags()
-    cancellation_witness: Optional[tuple] = None  # (c, d, e) with c+e = d+e, c != d
+    _rig_add: Optional[Callable[[Element, Element], Element]] = None
+    _rig_zero: Element = None
+    cancellation_witness: Optional[tuple] = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.builtin_id == other.builtin_id
+
+    def __hash__(self):
+        return hash((self.builtin_id,))
+
+    def __repr__(self):
+        return f"BuiltinAlgebra(builtin_id={self.builtin_id!r})"
+
+    @property
+    def is_rig(self) -> bool:
+        return self._rig_add is not None
+
+    def label_text(self, x: Element) -> str:
+        return str(x)
+
+
+LabelAlgebra = Union[TableAlgebra, BuiltinAlgebra]
+
+
+def _coefficient_view(
+    algebra: LabelAlgebra,
+) -> Optional[tuple[Callable[[Element, Element], Element], Element]]:
+    """``(add, zero)`` of the commutative monoid that coefficients live in.
+
+    A rig uses its own addition and zero; a commutative monoid reuses its one
+    operation and unit; any other algebra has no coefficient view (None).
+    """
+    if algebra.is_rig:
+        return algebra._rig_add, algebra._rig_zero
+    if algebra.flags.commutative:
+        return algebra.mul, algebra.one
+    return None
 
 
 def _int_only(v: Any) -> int:
@@ -149,145 +210,89 @@ def _is_rat(x: Any) -> bool:
     return isinstance(x, Fraction) or _is_int(x)
 
 
-_BUILTIN_OPS: dict[str, _BuiltinOps] = {
-    "TrivialOne": _BuiltinOps(
-        mul=lambda a, b: 1,
-        one=1,
-        contains=lambda x: x == 1 and not isinstance(x, bool),
-        parse=lambda v: 1 if v in (1, "1") else _raise_unknown(v),
-        sample=lambda rng: 1,
-        add=lambda a, b: 1,
-        zero=1,
-        flags=Flags(commutative=True, cancellative=True),
-    ),
-    "NatAdd": _BuiltinOps(
-        mul=lambda a, b: a + b,
-        one=0,
-        contains=_is_nat,
-        parse=_nat_only,
-        sample=lambda rng: rng.randrange(0, 10**6),
-        add=lambda a, b: a + b,
-        zero=0,
-        flags=Flags(commutative=True, cancellative=True),
-    ),
-    "IntAdd": _BuiltinOps(
-        mul=lambda a, b: a + b,
-        one=0,
-        contains=_is_int,
-        parse=_int_only,
-        sample=lambda rng: rng.randrange(-(10**6), 10**6),
-        add=lambda a, b: a + b,
-        zero=0,
-        flags=Flags(commutative=True, cancellative=True),
-    ),
-    "RatAdd": _BuiltinOps(
-        mul=lambda a, b: Fraction(a) + Fraction(b),
-        one=Fraction(0),
-        contains=_is_rat,
-        parse=_rat,
-        sample=lambda rng: Fraction(rng.randrange(-999, 1000), rng.randrange(1, 100)),
-        add=lambda a, b: Fraction(a) + Fraction(b),
-        zero=Fraction(0),
-        flags=Flags(commutative=True, cancellative=True),
-    ),
-    "NatRig": _BuiltinOps(
-        mul=lambda a, b: a * b,
-        one=1,
-        contains=_is_nat,
-        parse=_nat_only,
-        sample=lambda rng: rng.randrange(0, 1000),
-        add=lambda a, b: a + b,
-        zero=0,
-        flags=Flags(commutative=True, cancellative=True),
-    ),
-    "RatMulMonoid": _BuiltinOps(
-        mul=lambda a, b: Fraction(a) * Fraction(b),
-        one=Fraction(1),
-        contains=_is_rat,
-        parse=_rat,
-        sample=lambda rng: Fraction(rng.randrange(-999, 1000), rng.randrange(1, 100)),
-        add=None,
-        zero=None,
-        flags=Flags(commutative=True, cancellative=False),
-        cancellation_witness=(Fraction(1), Fraction(2), Fraction(0)),
-    ),
-}
-
-
 def _raise_unknown(v: Any) -> Element:
     raise KeyError(f"{v!r} is not an element of this algebra")
 
 
-@dataclass(frozen=True)
-class BuiltinAlgebra:
-    """An infinite algebra with exact arithmetic, referenced by name."""
+_BUILTINS: dict[str, BuiltinAlgebra] = {
+    b.builtin_id: b
+    for b in (
+        BuiltinAlgebra(
+            "TrivialOne",
+            mul=lambda a, b: 1,
+            one=1,
+            contains=lambda x: x == 1 and not isinstance(x, bool),
+            parse_label=lambda v: 1 if v in (1, "1") else _raise_unknown(v),
+            sample=lambda rng: 1,
+            flags=Flags(commutative=True, cancellative=True),
+        ),
+        BuiltinAlgebra(
+            "NatAdd",
+            mul=lambda a, b: a + b,
+            one=0,
+            contains=_is_nat,
+            parse_label=_nat_only,
+            sample=lambda rng: rng.randrange(0, 10**6),
+            flags=Flags(commutative=True, cancellative=True),
+        ),
+        BuiltinAlgebra(
+            "IntAdd",
+            mul=lambda a, b: a + b,
+            one=0,
+            contains=_is_int,
+            parse_label=_int_only,
+            sample=lambda rng: rng.randrange(-(10**6), 10**6),
+            flags=Flags(commutative=True, cancellative=True),
+        ),
+        BuiltinAlgebra(
+            "RatAdd",
+            mul=lambda a, b: Fraction(a) + Fraction(b),
+            one=Fraction(0),
+            contains=_is_rat,
+            parse_label=_rat,
+            sample=lambda rng: Fraction(rng.randrange(-999, 1000), rng.randrange(1, 100)),
+            flags=Flags(commutative=True, cancellative=True),
+        ),
+        BuiltinAlgebra(
+            "NatRig",
+            mul=lambda a, b: a * b,
+            one=1,
+            contains=_is_nat,
+            parse_label=_nat_only,
+            sample=lambda rng: rng.randrange(0, 1000),
+            flags=Flags(commutative=True, cancellative=True),
+            _rig_add=lambda a, b: a + b,
+            _rig_zero=0,
+        ),
+        BuiltinAlgebra(
+            "RatMulMonoid",
+            mul=lambda a, b: Fraction(a) * Fraction(b),
+            one=Fraction(1),
+            contains=_is_rat,
+            parse_label=_rat,
+            sample=lambda rng: Fraction(rng.randrange(-999, 1000), rng.randrange(1, 100)),
+            flags=Flags(commutative=True, cancellative=False),
+            cancellation_witness=(Fraction(1), Fraction(2), Fraction(0)),
+        ),
+    )
+}
 
-    builtin_id: str
 
-    kind = "builtin"
-
-    def __post_init__(self):
-        if self.builtin_id not in _BUILTIN_OPS:
-            raise ValueError(f"unknown builtin algebra {self.builtin_id!r}")
-
-    @property
-    def _ops(self) -> _BuiltinOps:
-        return _BUILTIN_OPS[self.builtin_id]
-
-    @property
-    def flags(self) -> Flags:
-        return self._ops.flags
-
-    @property
-    def is_rig(self) -> bool:
-        return self.builtin_id == "NatRig"
-
-    @property
-    def one(self) -> Element:
-        return self._ops.one
-
-    @property
-    def zero(self) -> Element:
-        ops = self._ops
-        if ops.add is None:
-            raise ValueError(f"{self.builtin_id} has no additive view")
-        if self.is_rig:
-            return ops.zero
-        return ops.one
-
-    def mul(self, a: Element, b: Element) -> Element:
-        return self._ops.mul(a, b)
-
-    def add(self, a: Element, b: Element) -> Element:
-        ops = self._ops
-        if ops.add is None:
-            raise ValueError(f"{self.builtin_id} has no additive view")
-        return ops.add(a, b)
-
-    def contains(self, x: Element) -> bool:
-        return self._ops.contains(x)
-
-    def label_text(self, x: Element) -> str:
-        f = Fraction(x) if isinstance(x, Fraction) else x
-        return str(f)
-
-    def parse_label(self, value: Any) -> Element:
-        return self._ops.parse(value)
-
-    def sample(self, rng: random.Random) -> Element:
-        return self._ops.sample(rng)
+def _tabulate(n: int, op: Callable[[int, int], int]) -> tuple[int, ...]:
+    """The row-major table of `op` on element indices 0..n-1."""
+    return tuple(op(a, b) for a in range(n) for b in range(n))
 
 
-LabelAlgebra = Union[TableAlgebra, BuiltinAlgebra]
+def _flatten(table) -> tuple[int, ...]:
+    if table and isinstance(table[0], (list, tuple)):
+        return tuple(itertools.chain.from_iterable(table))
+    return tuple(table)
 
 
 def table_algebra(elements, mul, unit, add=None, zero=None, flags=Flags()) -> TableAlgebra:
-    """Build a TableAlgebra from nested-list tables."""
-    flat_mul = tuple(itertools.chain.from_iterable(mul)) if mul and isinstance(mul[0], (list, tuple)) else tuple(mul)
-    flat_add = None
-    if add is not None:
-        flat_add = tuple(itertools.chain.from_iterable(add)) if add and isinstance(add[0], (list, tuple)) else tuple(add)
-    return TableAlgebra(tuple(elements), flat_mul, unit, flat_add, zero, flags)
+    """Build a TableAlgebra from nested-list (or flat row-major) tables."""
+    flat_add = None if add is None else _flatten(add)
+    return TableAlgebra(tuple(elements), _flatten(mul), unit, flat_add, zero, flags)
 
 
 # Standard finite algebras, in the element order they are usually tabulated.
@@ -326,13 +331,13 @@ def _catalog() -> dict[str, TableAlgebra]:
 
 
 CATALOG: dict[str, TableAlgebra] = _catalog()
-BUILTIN_NAMES = tuple(_BUILTIN_OPS)
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
 def named_algebra(name: str) -> LabelAlgebra:
     """Resolve an algebra name: a builtin id or a catalog table."""
-    if name in _BUILTIN_OPS:
-        return BuiltinAlgebra(name)
+    if name in _BUILTINS:
+        return _BUILTINS[name]
     if name in CATALOG:
         return CATALOG[name]
     raise KeyError(f"unknown algebra name {name!r}")
@@ -355,18 +360,102 @@ def _fresh_name(taken, base: str) -> str:
     return name
 
 
+def _witnesses(algebra: LabelAlgebra, arity: int, rng_seed: int, samples: int):
+    """Argument tuples that laws are checked on: every `arity`-tuple of a
+    table's elements, or each run of `arity` consecutive values of a
+    builtin's seeded sample."""
+    if isinstance(algebra, TableAlgebra):
+        return itertools.product(algebra.iter_elements(), repeat=arity)
+    rng = random.Random(rng_seed)
+    draws = [algebra.sample(rng) for _ in range(samples)]
+    return zip(*(draws[i:] for i in range(arity)))
+
+
 def validate_algebra(algebra: LabelAlgebra, rng_seed: int = 0, samples: int = 50) -> ValidationReport:
     """Check every declared axiom; structural defects are reported separately.
 
     Finite tables are checked exhaustively.  Builtins get a randomized
-    smoke check with exact arithmetic.
+    smoke check with exact arithmetic.  The laws come in a fixed order: unit
+    and associativity of mul, its commutativity if declared; for a rig the
+    same for add (commutativity always), both distributive laws per triple
+    and absorption; then cancellativity if declared.
     """
-    if isinstance(algebra, BuiltinAlgebra):
-        return _validate_builtin(algebra, rng_seed, samples)
-    return _validate_table(algebra)
+    if isinstance(algebra, TableAlgebra):
+        report = _table_structure(algebra)
+        if not report.ok:
+            return report  # axiom checks need a well-formed table
+    else:
+        report = ValidationReport(subject=f"builtin algebra {algebra.builtin_id}")
+
+    def cases(arity: int):
+        return _witnesses(algebra, arity, rng_seed, samples)
+
+    t = algebra.label_text
+
+    def monoid(op, unit, label: str) -> None:
+        for (x,) in cases(1):
+            if op(unit, x) != x or op(x, unit) != x:
+                report.add(AXIOM, "unit", f"{label}: {t(unit)} is not a unit at {t(x)}", (x,))
+        for x, y, z in cases(3):
+            if op(op(x, y), z) != op(x, op(y, z)):
+                report.add(
+                    AXIOM,
+                    "associativity",
+                    f"{label}: ({t(x)}*{t(y)})*{t(z)} != {t(x)}*({t(y)}*{t(z)})",
+                    (x, y, z),
+                )
+
+    def commutativity(op, label: str, sign: str) -> None:
+        for x, y in cases(2):
+            if x < y and op(x, y) != op(y, x):  # each unordered pair once
+                report.add(
+                    AXIOM, "commutativity", f"{label}: {t(x)}{sign}{t(y)} != {t(y)}{sign}{t(x)}", (x, y)
+                )
+
+    mul = algebra.mul
+    monoid(mul, algebra.one, "mul")
+    if algebra.flags.commutative:
+        commutativity(mul, "mul", "*")
+    if algebra.is_rig:
+        add, zero = algebra.add, algebra.zero
+        monoid(add, zero, "add")
+        # rig addition is commutative by definition, whatever the flags say
+        commutativity(add, "add", "+")
+        for r, s, u in cases(3):
+            if mul(r, add(s, u)) != add(mul(r, s), mul(r, u)):
+                report.add(
+                    AXIOM,
+                    "distributivity-left",
+                    f"{t(r)}*({t(s)}+{t(u)}) != {t(r)}*{t(s)} + {t(r)}*{t(u)}",
+                    (r, s, u),
+                )
+            if mul(add(r, s), u) != add(mul(r, u), mul(s, u)):
+                report.add(
+                    AXIOM,
+                    "distributivity-right",
+                    f"({t(r)}+{t(s)})*{t(u)} != {t(r)}*{t(u)} + {t(s)}*{t(u)}",
+                    (r, s, u),
+                )
+        for (x,) in cases(1):
+            if mul(zero, x) != zero or mul(x, zero) != zero:
+                report.add(AXIOM, "absorption", f"0*{t(x)} or {t(x)}*0 is not 0", (x,))
+
+    if algebra.flags.cancellative and _coefficient_view(algebra) is None:
+        report.add(AXIOM, "cancellativity", "declared cancellative, but neither a rig nor commutative")
+    elif algebra.flags.cancellative:
+        ok, witness = is_cancellative(algebra)
+        if not ok:
+            c, d, e = witness
+            report.add(
+                AXIOM,
+                "cancellativity",
+                f"{t(c)}+{t(e)} = {t(d)}+{t(e)} but {t(c)} != {t(d)}",
+                witness,
+            )
+    return report
 
 
-def _validate_table(a: TableAlgebra) -> ValidationReport:
+def _table_structure(a: TableAlgebra) -> ValidationReport:
     report = ValidationReport(subject="finite-table algebra")
     n = a.size
     if n == 0:
@@ -393,101 +482,6 @@ def _validate_table(a: TableAlgebra) -> ValidationReport:
         report.add(STRUCTURE, "out-of-range", f"zero index {a.zero_index!r} is not an element index")
     if a.add_table is None and a.zero_index is not None:
         report.add(STRUCTURE, "zero-without-add", "zero declared but no addition table")
-    if not report.ok:
-        return report  # axiom checks need a well-formed table
-
-    names = a.elements
-    elems = range(n)
-
-    def check_monoid(op, unit, label):
-        for x in elems:
-            if op(unit, x) != x or op(x, unit) != x:
-                report.add(
-                    AXIOM, "unit", f"{label}: {names[unit]} is not a unit at {names[x]}", (x,)
-                )
-        for x, y, z in itertools.product(elems, repeat=3):
-            if op(op(x, y), z) != op(x, op(y, z)):
-                report.add(
-                    AXIOM,
-                    "associativity",
-                    f"{label}: ({names[x]}*{names[y]})*{names[z]} != {names[x]}*({names[y]}*{names[z]})",
-                    (x, y, z),
-                )
-
-    check_monoid(a.mul, a.unit, "mul")
-    if a.flags.commutative:
-        for x, y in itertools.combinations(elems, 2):
-            if a.mul(x, y) != a.mul(y, x):
-                report.add(
-                    AXIOM,
-                    "commutativity",
-                    f"mul: {names[x]}*{names[y]} != {names[y]}*{names[x]}",
-                    (x, y),
-                )
-
-    if a.add_table is not None:
-        zero = a.zero_index
-        check_monoid(a.add, zero, "add")
-        # rig addition is commutative by definition, whatever the flags say
-        for x, y in itertools.combinations(elems, 2):
-            if a.add(x, y) != a.add(y, x):
-                report.add(
-                    AXIOM,
-                    "commutativity",
-                    f"add: {names[x]}+{names[y]} != {names[y]}+{names[x]}",
-                    (x, y),
-                )
-        for r, s, t in itertools.product(elems, repeat=3):
-            if a.mul(r, a.add(s, t)) != a.add(a.mul(r, s), a.mul(r, t)):
-                report.add(
-                    AXIOM,
-                    "distributivity-left",
-                    f"{names[r]}*({names[s]}+{names[t]}) != {names[r]}*{names[s]} + {names[r]}*{names[t]}",
-                    (r, s, t),
-                )
-            if a.mul(a.add(r, s), t) != a.add(a.mul(r, t), a.mul(s, t)):
-                report.add(
-                    AXIOM,
-                    "distributivity-right",
-                    f"({names[r]}+{names[s]})*{names[t]} != {names[r]}*{names[t]} + {names[s]}*{names[t]}",
-                    (r, s, t),
-                )
-        for x in elems:
-            if a.mul(zero, x) != zero or a.mul(x, zero) != zero:
-                report.add(AXIOM, "absorption", f"0*{names[x]} or {names[x]}*0 is not 0", (x,))
-
-    if a.flags.cancellative:
-        ok, witness = is_cancellative(a)
-        if not ok:
-            c, d, e = witness
-            report.add(
-                AXIOM,
-                "cancellativity",
-                f"{names[c]}+{names[e]} = {names[d]}+{names[e]} but {names[c]} != {names[d]}",
-                witness,
-            )
-    return report
-
-
-def _validate_builtin(a: BuiltinAlgebra, rng_seed: int, samples: int) -> ValidationReport:
-    report = ValidationReport(subject=f"builtin algebra {a.builtin_id}")
-    rng = random.Random(rng_seed)
-    draws = [a.sample(rng) for _ in range(samples)]
-    for x, y, z in zip(draws, draws[1:], draws[2:]):
-        if a.mul(a.mul(x, y), z) != a.mul(x, a.mul(y, z)):
-            report.add(AXIOM, "associativity", f"failed on sample ({x}, {y}, {z})", (x, y, z))
-        if a.flags.commutative and a.mul(x, y) != a.mul(y, x):
-            report.add(AXIOM, "commutativity", f"failed on sample ({x}, {y})", (x, y))
-    for x in draws:
-        if a.mul(a.one, x) != x or a.mul(x, a.one) != x:
-            report.add(AXIOM, "unit", f"failed on sample {x}", (x,))
-    if a.is_rig:
-        for x, y, z in zip(draws, draws[1:], draws[2:]):
-            if a.mul(x, a.add(y, z)) != a.add(a.mul(x, y), a.mul(x, z)):
-                report.add(AXIOM, "distributivity-left", f"failed on sample ({x}, {y}, {z})", (x, y, z))
-        for x in draws:
-            if a.mul(a.zero, x) != a.zero:
-                report.add(AXIOM, "absorption", f"failed on sample {x}", (x,))
     return report
 
 
@@ -496,17 +490,17 @@ def is_cancellative(algebra: LabelAlgebra):
 
     Returns ``(True, None)`` or ``(False, (c, d, e))`` with a witness triple.
     Finite tables are searched exhaustively; builtins have known answers.
+    Raises ValueError when the algebra has no coefficient view.
     """
+    add = algebra.add  # raises unless there is a coefficient view
     if isinstance(algebra, BuiltinAlgebra):
-        witness = algebra._ops.cancellation_witness
+        witness = algebra.cancellation_witness
         return (witness is None, witness)
-    if algebra.add_table is None and not algebra.flags.commutative:
-        raise ValueError("cancellativity is asked of a commutative (coefficient) monoid")
     n = algebra.size
     for e in range(n):
         seen: dict[int, int] = {}
         for c in range(n):
-            value = algebra.add(c, e)
+            value = add(c, e)
             if value in seen and seen[value] != c:
                 return False, (seen[value], c, e)
             seen.setdefault(value, c)
@@ -518,12 +512,9 @@ def adjoin_zero(algebra: TableAlgebra) -> TableAlgebra:
     _require_plain_table(algebra, "adjoin_zero")
     n = algebra.size
     name = _fresh_name(algebra.elements, "0")
-    table = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            table.append(algebra.mul(a, b) if a < n and b < n else n)
+    table = _tabulate(n + 1, lambda a, b: algebra.mul(a, b) if a < n and b < n else n)
     flags = Flags(commutative=algebra.flags.commutative, cancellative=False)
-    return TableAlgebra(algebra.elements + (name,), tuple(table), algebra.unit, flags=flags)
+    return TableAlgebra(algebra.elements + (name,), table, algebra.unit, flags=flags)
 
 
 def adjoin_identity(algebra: TableAlgebra) -> TableAlgebra:
@@ -531,17 +522,9 @@ def adjoin_identity(algebra: TableAlgebra) -> TableAlgebra:
     _require_plain_table(algebra, "adjoin_identity")
     n = algebra.size
     name = _fresh_name(algebra.elements, "I")
-    table = []
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if a == n:
-                table.append(b if b < n else n)
-            elif b == n:
-                table.append(a)
-            else:
-                table.append(algebra.mul(a, b))
+    table = _tabulate(n + 1, lambda a, b: b if a == n else a if b == n else algebra.mul(a, b))
     flags = Flags(commutative=algebra.flags.commutative, cancellative=False)
-    return TableAlgebra(algebra.elements + (name,), tuple(table), unit=n, flags=flags)
+    return TableAlgebra(algebra.elements + (name,), table, unit=n, flags=flags)
 
 
 def product_algebra(left: TableAlgebra, right: TableAlgebra) -> TableAlgebra:
@@ -555,13 +538,7 @@ def product_algebra(left: TableAlgebra, right: TableAlgebra) -> TableAlgebra:
         return i * nr + j
 
     def componentwise(op_l, op_r):
-        table = []
-        for a in range(nl):
-            for b in range(nr):
-                for c in range(nl):
-                    for d in range(nr):
-                        table.append(pair(op_l(a, c), op_r(b, d)))
-        return tuple(table)
+        return _tabulate(nl * nr, lambda x, y: pair(op_l(x // nr, y // nr), op_r(x % nr, y % nr)))
 
     mul = componentwise(left.mul, right.mul)
     add = zero = None
@@ -587,24 +564,20 @@ def power_rig(algebra: TableAlgebra) -> TableAlgebra:
     n = algebra.size
     if n > POWER_RIG_LIMIT:
         raise ValueError(f"power_rig limited to {POWER_RIG_LIMIT} base elements, got {n}")
-    subsets = range(1 << n)
+    members = [[i for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+    names = tuple("{" + ",".join(algebra.elements[i] for i in m) + "}" for m in members)
 
-    def members(mask: int):
-        return [i for i in range(n) if mask >> i & 1]
+    def times(x: int, y: int) -> int:
+        out = 0
+        for i in members[x]:
+            for j in members[y]:
+                out |= 1 << algebra.mul(i, j)
+        return out
 
-    names = tuple("{" + ",".join(algebra.elements[i] for i in members(m)) + "}" for m in subsets)
-    add = tuple(x | y for x in subsets for y in subsets)
-    mul = []
-    for x in subsets:
-        mx = members(x)
-        for y in subsets:
-            out = 0
-            for i in mx:
-                for j in members(y):
-                    out |= 1 << algebra.mul(i, j)
-            mul.append(out)
+    mul = _tabulate(1 << n, times)
+    add = _tabulate(1 << n, operator.or_)
     flags = Flags(commutative=algebra.flags.commutative, cancellative=False)
-    return TableAlgebra(names, tuple(mul), unit=1 << algebra.unit, add_table=add, zero_index=0, flags=flags)
+    return TableAlgebra(names, mul, unit=1 << algebra.unit, add_table=add, zero_index=0, flags=flags)
 
 
 def _require_plain_table(algebra, op_name: str) -> None:
@@ -652,14 +625,7 @@ def validate_hom(hom: MonoidHom, rng_seed: int = 0, samples: int = 50) -> Valida
     """
     report = ValidationReport(subject=f"hom {hom.name or '(anonymous)'}")
     src, dst = hom.source, hom.target
-    if isinstance(src, TableAlgebra):
-        pairs = itertools.product(src.iter_elements(), repeat=2)
-        singles = list(src.iter_elements())
-    else:
-        rng = random.Random(rng_seed)
-        singles = [src.sample(rng) for _ in range(samples)]
-        pairs = list(zip(singles, reversed(singles)))
-    for x in singles:
+    for (x,) in _witnesses(src, 1, rng_seed, samples):
         if not dst.contains(apply_hom(hom, x)):
             report.add(STRUCTURE, "out-of-target", f"image of {src.label_text(x)} is not in the target")
             return report
@@ -669,7 +635,7 @@ def validate_hom(hom: MonoidHom, rng_seed: int = 0, samples: int = 50) -> Valida
     if "add" in hom.respects:
         if apply_hom(hom, src.zero) != dst.zero:
             report.add(AXIOM, "zero", "zero is not sent to the zero", (src.zero,))
-    for a, b in pairs:
+    for a, b in _witnesses(src, 2, rng_seed, samples):
         if "mul" in hom.respects:
             if apply_hom(hom, src.mul(a, b)) != dst.mul(apply_hom(hom, a), apply_hom(hom, b)):
                 report.add(
@@ -718,7 +684,7 @@ def sign_hom() -> MonoidHom:
             return 1
         return 2
 
-    return MonoidHom(BuiltinAlgebra("RatMulMonoid"), sign0, fn=to_sign, name="sign")
+    return MonoidHom(_BUILTINS["RatMulMonoid"], sign0, fn=to_sign, name="sign")
 
 
 def sign_section() -> MonoidHom:
@@ -726,7 +692,7 @@ def sign_section() -> MonoidHom:
     sign0 = CATALOG["SIGN0"]
     return MonoidHom(
         sign0,
-        BuiltinAlgebra("RatMulMonoid"),
+        _BUILTINS["RatMulMonoid"],
         mapping=(Fraction(1), Fraction(0), Fraction(-1)),
         name="sign-section",
     )
@@ -734,7 +700,7 @@ def sign_section() -> MonoidHom:
 
 def collapse_hom(source: LabelAlgebra) -> MonoidHom:
     """The unique map to the one-element algebra; discards the labeling."""
-    trivial = BuiltinAlgebra("TrivialOne")
+    trivial = _BUILTINS["TrivialOne"]
     if isinstance(source, TableAlgebra):
         return MonoidHom(source, trivial, mapping=(1,) * source.size, name="collapse")
     return MonoidHom(source, trivial, fn=lambda x: 1, name="collapse")

@@ -14,6 +14,7 @@ import sys
 from .algebra import (
     CATALOG,
     MonoidHom,
+    _coefficient_view,
     collapse_hom,
     sign_hom,
     sign_section,
@@ -25,10 +26,10 @@ from .homology import decompose_cycle, feedback, find_relations, h0, loop_polari
 from .model_io import (
     ModelFile,
     ModelFormatError,
+    emit_model,
     export_dot,
     load_model,
     parse_algebra,
-    save_model,
 )
 from .motifs import MOTIF_NAMES, builtin_motif, find_motifs
 from .open_graphs import compose as compose_open
@@ -47,6 +48,14 @@ def _load(path) -> ModelFile:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
     except ModelFormatError as exc:
         raise CliError(f"{path}: {exc}") from None
+
+
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}") from None
 
 
 def _graph_of(model: ModelFile, path) -> tuple:
@@ -93,7 +102,7 @@ def cmd_validate(args) -> int:
 def _loop_rows(g, model: ModelFile):
     loops, truncated = simple_loops(g.graph)
     algebra = g.algebra
-    has_sum = algebra.is_rig or algebra.flags.commutative
+    has_sum = _coefficient_view(algebra) is not None
     is_sign = algebra == CATALOG["SIGN"]
     rows = []
     for loop in loops:
@@ -178,7 +187,7 @@ def cmd_combine(args) -> int:
         result = args.combine(left, right)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    save_model(ModelFile(open_graph=result), args.out)
+    _write(args.out, emit_model(ModelFile(open_graph=result)))
     print(
         f"wrote {args.out}: {result.inner.graph.n_vertices} vertices, "
         f"{result.inner.graph.n_edges} edges"
@@ -194,7 +203,7 @@ def cmd_homology(args) -> int:
         relations = find_relations(loops, args.bound)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    zeroth = h0(g.graph, g.algebra) if (g.algebra.is_rig or g.algebra.flags.commutative) else None
+    zeroth = h0(g.graph, g.algebra) if _coefficient_view(g.algebra) is not None else None
     edge_name = (lambda e: model.edge_ids[e]) if model.edge_ids else (lambda e: f"e{e}")
 
     def loop_term(vector):
@@ -299,7 +308,7 @@ def cmd_change_labels(args) -> int:
     out_model = ModelFile(
         graph=relabeled, vertex_ids=model.vertex_ids, edge_ids=model.edge_ids
     )
-    save_model(out_model, args.out)
+    _write(args.out, emit_model(out_model))
     print(f"wrote {args.out}")
     return 0
 
@@ -340,8 +349,7 @@ def cmd_export_dot(args) -> int:
     g, _ = _graph_of(model, args.file)
     text = export_dot(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.out, text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebra import BuiltinAlgebra, Element, LabelAlgebra, TableAlgebra
+from .algebra import Element, LabelAlgebra, TableAlgebra, named_algebra
 from .graphs import Graph, LabeledGraph, undirected_components
 from .paths import Path, grade
 
-NAT = BuiltinAlgebra("NatAdd")
+NAT = named_algebra("NatAdd")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def h0(g: Graph, algebra: LabelAlgebra) -> H0Result:
     A connected graph therefore has one generator, i.e. H0 is a copy of the
     coefficient monoid itself.
     """
-    algebra.zero  # raises unless the algebra has a commutative view
+    algebra.zero  # raises unless the algebra has a coefficient view
     blocks = tuple(tuple(b) for b in undirected_components(g))
     return H0Result(blocks, f"C[pi0(G)]: free on {len(blocks)} undirected component(s)")
 
@@ -416,8 +416,10 @@ def find_relations(
     once up to sign.  Exact row reduction leaves d = k - rank free
     coordinates; all (2*bound + 1)^d values of them are tried, keeping those
     whose pivot coordinates come out integral and within the bound.  Raises
-    ValueError when that count exceeds `guard`.
+    ValueError when that count exceeds `guard`, or when `bound` is negative.
     """
+    if bound < 0:
+        raise ValueError(f"coefficient bound must be at least 0, got {bound}")
     k = len(loops)
     base = 2 * bound + 1
     # one row per edge, counting the loops through it; repeated rows add no rank

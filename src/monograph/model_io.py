@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .algebra import (
-    BuiltinAlgebra,
+    BUILTIN_NAMES,
     Flags,
     LabelAlgebra,
     TableAlgebra,
@@ -82,10 +82,8 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
     kind = obj.get("kind")
     if kind == "builtin":
         name = obj.get("builtin_id")
-        try:
-            return BuiltinAlgebra(name)
-        except (ValueError, TypeError):
-            raise ModelFormatError("unknown-algebra", f"unknown builtin {name!r}") from None
+        _require(name in BUILTIN_NAMES, "unknown-algebra", f"unknown builtin {name!r}")
+        return named_algebra(name)
     _require(kind == "finite-table", "schema", f"algebra kind must be 'finite-table' or 'builtin', got {kind!r}")
     _require(
         isinstance(obj.get("elements"), list) and all(isinstance(e, str) for e in obj["elements"]),

@@ -54,6 +54,8 @@ def find_motifs(
         raise ValueError("motif and host must share one label algebra")
     if max_path_len < 1:
         raise ValueError("max_path_len must be at least 1")
+    if max_results < 0:
+        raise ValueError("max_results must be at least 0")
     m_graph = motif.graph
     matches: list[KleisliMorphism] = []
     for assignment in itertools.product(range(host.graph.n_vertices), repeat=m_graph.n_vertices):

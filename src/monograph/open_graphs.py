@@ -30,6 +30,7 @@ from .graphs import (
     change_labels,
     compose_morphisms,
     is_label_preserving,
+    undirected_components,
     validate_morphism,
 )
 from .paths import KleisliMorphism, compose_kleisli, is_kleisli_morphism
@@ -79,33 +80,18 @@ def _pushout(x: OpenGraph, y: OpenGraph):
         raise ValueError(
             f"foot mismatch: {sorted(x.right_foot)} vs {sorted(y.left_foot)}"
         )
-    nx = x.inner.graph.n_vertices
-    ny = y.inner.graph.n_vertices
-    parent = list(range(nx + ny))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for name, out_v in zip(x.right_foot, x.leg_out):
-        in_v = y.leg_in[y.left_foot.index(name)]
-        a, b = find(out_v), find(nx + in_v)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    reps = sorted({find(v) for v in range(nx + ny)})
-    new_id = {rep: i for i, rep in enumerate(reps)}
-
-    def combined_name(v: int) -> str:
-        return x.inner.graph.vertex_names[v] if v < nx else y.inner.graph.vertex_names[v - nx]
-
-    map_x = tuple(new_id[find(v)] for v in range(nx))
-    map_y = tuple(new_id[find(nx + v)] for v in range(ny))
-    names = tuple(combined_name(rep) for rep in reps)
-
     gx, gy = x.inner.graph, y.inner.graph
+    nx = gx.n_vertices
+    combined_names = gx.vertex_names + gy.vertex_names
+    # one edge per foot element, from its x-vertex to its y-vertex (offset by nx)
+    glue_tgt = tuple(nx + y.leg_in[y.left_foot.index(name)] for name in x.right_foot)
+    blocks = undirected_components(Graph(combined_names, x.leg_out, glue_tgt))
+    new_id = [0] * len(combined_names)
+    for i, block in enumerate(blocks):
+        for v in block:
+            new_id[v] = i
+    map_x, map_y = tuple(new_id[:nx]), tuple(new_id[nx:])
+    names = tuple(combined_names[block[0]] for block in blocks)
     src = tuple(map_x[v] for v in gx.edge_src) + tuple(map_y[v] for v in gy.edge_src)
     tgt = tuple(map_x[v] for v in gx.edge_tgt) + tuple(map_y[v] for v in gy.edge_tgt)
     labels = x.inner.labels + y.inner.labels

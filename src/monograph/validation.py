@@ -27,10 +27,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    @property
-    def structural_errors(self) -> list[Violation]:
-        return [v for v in self.violations if v.kind == STRUCTURE]
-
     def add(self, kind: str, code: str, message: str, witness: tuple = ()) -> None:
         self.violations.append(Violation(kind, code, message, witness))
 

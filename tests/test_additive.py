@@ -19,6 +19,12 @@ def coffee_shop():
     return m, src, dst
 
 
+def sign_section_graph():
+    """SIGN0 labels read as rationals: RatMulMonoid, whose coefficients add by product."""
+    g = mg.labeled_graph(["u", "v"], [(0, 1), (0, 1), (1, 0)], mg.CATALOG["SIGN0"], ["+", "-", "0"])
+    return mg.change_labels(mg.sign_section(), g)
+
+
 def noncommutative_monoid():
     # unit plus two left-absorbing elements: the smallest non-commutative monoid
     return mg.table_algebra(["1", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]], unit=0)
@@ -56,6 +62,14 @@ class TestIsAdditive:
         g = mg.LabeledGraph(mg.graph(["u", "v"], [(0, 1)]), algebra, (1,))
         with pytest.raises(ValueError):
             mg.AdditiveMorphism(mg.identity_morphism(g.graph), g, g)
+
+    def test_rat_mul_monoid_sums_by_its_product(self):
+        src = sign_section_graph()
+        dst = mg.labeled_graph(["u", "v"], [(0, 1), (1, 0)], src.algebra, [Fraction(-1), Fraction(0)])
+        m = mg.GraphMorphism(src.graph, dst.graph, (0, 1), (0, 0, 1))
+        assert mg.is_additive_morphism(mg.AdditiveMorphism(m, src, dst)) == (True, None)
+        assert mg.pushforward_labeling(m, src).labels == (Fraction(-1), Fraction(0))
+        assert mg.h0(src.graph, src.algebra).count == 1
 
     def test_rig_labels_sum_with_the_rig_addition(self):
         src = mg.labeled_graph(["u", "v"], [(0, 1), (0, 1)], BOOL, ["0", "1"])

@@ -1,5 +1,6 @@
 """Label algebra construction, validation, and homomorphisms."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,63 @@ class TestValidateAlgebra:
         report = mg.validate_algebra(bad)
         assert any(v.code == "cancellativity" for v in report.violations)
 
+    def test_cancellative_without_a_coefficient_view_is_a_violation(self):
+        # a lawful non-commutative monoid (identity plus two left zeros)
+        bad = mg.table_algebra(
+            ["1", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]], unit=0, flags=mg.Flags(cancellative=True)
+        )
+        assert [v.code for v in mg.validate_algebra(bad).violations] == ["cancellativity"]
+
+    def test_broken_rig_table_reports_every_law_in_order(self):
+        # S with 0*i = i (was 0) and 1+0 = i (was 1), declared cancellative
+        mul = list(S_RIG.mul_table)
+        mul[1 * 4 + 3] = 3
+        add = list(S_RIG.add_table)
+        add[0 * 4 + 1] = 3
+        flags = mg.Flags(commutative=True, cancellative=True)
+        bad = mg.TableAlgebra(S_RIG.elements, tuple(mul), S_RIG.unit, tuple(add), S_RIG.zero_index, flags)
+        report = mg.validate_algebra(bad)
+        assert [v.code for v in report.violations] == [
+            "commutativity",
+            "unit",
+            "associativity",
+            "commutativity",
+            "distributivity-right",
+            "distributivity-left",
+            "distributivity-left",
+            "distributivity-left",
+            "distributivity-left",
+            "distributivity-right",
+            "distributivity-left",
+            "absorption",
+            "cancellativity",
+        ]
+        assert [v.message for v in report.violations[:4]] == [
+            "mul: 0*i != i*0",
+            "add: 0 is not a unit at 1",
+            "add: (1*0)*1 != 1*(0*1)",
+            "add: 1+0 != 0+1",
+        ]
+
+    @pytest.mark.parametrize(
+        "broken, codes",
+        [
+            # products of two elements above 1 gain 1
+            (
+                {"mul": lambda a, b: a * b + (a > 1 and b > 1)},
+                ["associativity", "distributivity-left", "distributivity-right"],
+            ),
+            ({"_rig_add": lambda a, b: a + 2 * b}, ["unit", "associativity", "commutativity"]),
+        ],
+    )
+    def test_broken_builtin_record_is_caught(self, broken, codes):
+        nat_rig = mg.named_algebra("NatRig")
+        bad = dataclasses.replace(nat_rig, **broken)
+        assert bad == nat_rig and hash(bad) == hash(nat_rig)  # equal by builtin_id alone
+        found = [v.code for v in mg.validate_algebra(bad).violations]
+        # every failing law is found, and the laws come in their stated order
+        assert list(dict.fromkeys(found)) == codes
+
 
 class TestCancellativity:
     def test_nat_add_is_cancellative(self):
@@ -88,11 +146,36 @@ class TestCancellativity:
     def test_rat_mul_monoid_witness_rechecks(self):
         rat = mg.named_algebra("RatMulMonoid")
         ok, (c, d, e) = mg.is_cancellative(rat)
-        assert not ok and c != d and rat.mul(c, e) == rat.mul(d, e)
+        assert (c, d, e) == (1, 2, 0)
+        assert not ok and c != d and rat.add(c, e) == rat.add(d, e)
+
+    def test_noncommutative_monoid_has_no_coefficient_view(self):
+        left_zeros = mg.table_algebra(["1", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]], unit=0)
+        with pytest.raises(ValueError):
+            mg.is_cancellative(left_zeros)
+        with pytest.raises(ValueError):
+            left_zeros.zero
 
     def test_s_rig_addition_witness_rechecks(self):
         ok, (c, d, e) = mg.is_cancellative(S_RIG)
         assert not ok and c != d and S_RIG.add(c, e) == S_RIG.add(d, e)
+
+
+class TestCoefficientView:
+    def test_rat_mul_monoid_adds_by_its_product(self):
+        rat = mg.named_algebra("RatMulMonoid")
+        assert rat.zero == 1
+        for a, b in [(Fraction(2, 3), Fraction(-3)), (Fraction(0), 5), (Fraction(-1), -2)]:
+            assert rat.add(a, b) == rat.mul(a, b)
+
+    def test_rigs_use_their_own_addition(self):
+        nat_rig = mg.named_algebra("NatRig")
+        assert nat_rig.zero == 0 and nat_rig.add(2, 3) == 5
+        assert BOOL.zero == BOOL.zero_index and BOOL.add(1, 1) == 1
+
+    def test_commutative_monoids_reuse_their_operation(self):
+        assert SIGN.zero == SIGN.unit and SIGN.add(1, 1) == SIGN.mul(1, 1)
+        assert NAT.zero == 0 and NAT.add(2, 3) == 5
 
 
 def tables_agree(a: mg.TableAlgebra, b: mg.TableAlgebra, names: dict[str, str]) -> bool:

@@ -73,6 +73,26 @@ class TestValidate:
         assert code == 1
         assert "commutativity" in out
 
+    def test_cancellative_without_a_coefficient_view_fails_validation(self, capsys, tmp_path):
+        bad = tmp_path / "left_zeros.json"
+        bad.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "algebra": {
+                        "kind": "finite-table",
+                        "elements": ["1", "a", "b"],
+                        "mul_table": [0, 1, 2, 1, 1, 1, 2, 2, 2],
+                        "unit": 0,
+                        "flags": {"cancellative": True},
+                    },
+                }
+            )
+        )
+        code, out, err = run(capsys, "validate", bad)
+        assert code == 1 and not err
+        assert "[axiom/cancellativity] declared cancellative, but neither a rig nor commutative" in out
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -219,6 +239,71 @@ class TestChangeLabels:
             "--out", "/tmp/unused.json",
         )
         assert code == 1 and "unknown hom" in err
+
+
+class TestSignSection:
+    def test_rational_labels_have_feedback(self, capsys, tmp_path):
+        src = tmp_path / "sign0.json"
+        src.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "graph": {
+                        "algebra": "SIGN0",
+                        "vertices": [{"id": "a"}, {"id": "b"}],
+                        "edges": [
+                            {"id": "e1", "src": "a", "tgt": "b", "label": "+"},
+                            {"id": "e2", "src": "b", "tgt": "a", "label": "-"},
+                            {"id": "e3", "src": "b", "tgt": "b", "label": "0"},
+                            {"id": "e4", "src": "a", "tgt": "a", "label": "+"},
+                        ],
+                    },
+                }
+            )
+        )
+        relabeled = tmp_path / "rational.json"
+        code, _, err = run(capsys, "change-labels", src, "--hom", "sign-section", "--out", relabeled)
+        assert code == 0 and not err
+        assert json.loads(relabeled.read_text())["graph"]["algebra"] == "RatMulMonoid"
+        code, out, err = run(capsys, "loops", relabeled, "--json")
+        assert code == 0 and not err
+        rows = json.loads(out)["loops"]
+        assert sorted(row["polarity"] for row in rows) == ["-1", "0", "1"]
+        assert all(row["feedback"] == row["polarity"] for row in rows)
+        code, out, err = run(capsys, "homology", relabeled, "--json")
+        assert code == 0 and not err
+        assert json.loads(out)["h0_components"] == 1
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", FIXTURES / "open_left.json", FIXTURES / "open_right.json"],
+            ["tensor", FIXTURES / "open_left.json", FIXTURES / "open_right.json"],
+            ["change-labels", FIXTURES / "homework.json", "--hom", "collapse"],
+            ["export-dot", FIXTURES / "homework.json"],
+        ],
+        ids=["compose", "tensor", "change-labels", "export-dot"],
+    )
+    def test_missing_output_directory(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, "--out", target)
+        assert code == 1 and not out
+        assert err == f"error: {target}: No such file or directory\n"
+
+    def test_negative_relation_bound(self, capsys):
+        code, out, err = run(capsys, "homology", FIXTURES / "q4.json", "--bound", "-1")
+        assert code == 1 and not out
+        assert err == "error: coefficient bound must be at least 0, got -1\n"
+
+    def test_negative_motif_result_cap(self, capsys):
+        code, out, err = run(
+            capsys, "motif", "--motif", "positive-autoregulation",
+            "--host", FIXTURES / "host.json", "--max-results", "-1", "--json",
+        )
+        assert code == 1 and not out
+        assert err == "error: max_results must be at least 0\n"
 
 
 class TestDecompose:

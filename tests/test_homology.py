@@ -278,6 +278,11 @@ class TestRelations:
         relations = mg.find_relations(loops, 1)
         assert relations and all(_combine(loops, r.lhs) == _combine(loops, r.rhs) for r in relations)
 
+    def test_negative_bound_is_rejected(self):
+        loops, _ = mg.simple_loops(q4())
+        with pytest.raises(ValueError, match="at least 0, got -1"):
+            mg.find_relations(loops, -1)
+
     def test_independent_loops_have_no_relations(self):
         loops = [mg.SimpleLoop((i,)) for i in range(25)]
         assert mg.find_relations(loops, 3) == []

@@ -105,6 +105,13 @@ class TestFindMotifs:
         )
         assert truncated and len(matches) == 1
 
+    def test_negative_bounds_are_rejected(self):
+        motif = mg.builtin_motif("positive-stimulation")
+        with pytest.raises(ValueError, match="max_results"):
+            mg.find_motifs(motif, host(), max_path_len=2, max_results=-1)
+        with pytest.raises(ValueError, match="max_path_len"):
+            mg.find_motifs(motif, host(), max_path_len=0)
+
     def test_every_result_passes_the_kleisli_check(self):
         rng = random.Random(37)
         for _ in range(10):
