@@ -34,7 +34,6 @@ from .model_io import (
 from .motifs import MOTIF_NAMES, builtin_motif, find_motifs
 from .open_graphs import compose as compose_open
 from .open_graphs import tensor as tensor_open
-from .paths import grade
 
 
 class CliError(Exception):
@@ -154,12 +153,14 @@ def cmd_motif(args) -> int:
         matches, truncated = find_motifs(motif, host, args.max_path_len, args.max_results)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    # every path chosen for motif edge e grades to the motif's label on e
+    grades = [host.algebra.label_text(x) for x in motif.labels]
     payload = {
         "matches": [
             {
                 "vertex_map": list(k.vertex_map),
                 "edge_paths": [list(p.edges) for p in k.edge_map],
-                "grades": [host.algebra.label_text(grade(p, host)) for p in k.edge_map],
+                "grades": grades,
             }
             for k in matches
         ],

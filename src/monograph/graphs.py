@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, apply_hom
@@ -28,6 +27,12 @@ class Graph:
         for v in itertools.chain(self.edge_src, self.edge_tgt):
             if not isinstance(v, int) or not (0 <= v < n):
                 raise ValueError(f"edge endpoint {v!r} is not a vertex id")
+        # Per vertex, the ids of the edges leaving (entering) it, ascending.
+        # Not fields, so equality and hashing still see only the fields; set
+        # here rather than cached through `__dict__`, which would move every
+        # later attribute load on the graph off the interpreter's fast path.
+        object.__setattr__(self, "out_adjacency", _incidence(n, self.edge_src))
+        object.__setattr__(self, "in_adjacency", _incidence(n, self.edge_tgt))
 
     @property
     def n_vertices(self) -> int:
@@ -36,18 +41,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return len(self.edge_src)
-
-    # The incidence is derived from the frozen fields on first use and cached
-    # outside them, so equality and hashing still see only the fields.
-    @cached_property
-    def out_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the ids of the edges leaving it, ascending."""
-        return _incidence(self.n_vertices, self.edge_src)
-
-    @cached_property
-    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per vertex, the ids of the edges entering it, ascending."""
-        return _incidence(self.n_vertices, self.edge_tgt)
 
     def out_edges(self, v: int) -> list[int]:
         return list(self.out_adjacency[v])

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import random
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import monograph as mg
@@ -56,6 +60,26 @@ def rand_labels(rng: random.Random, g: mg.Graph, algebra) -> mg.LabeledGraph:
     else:
         labels = tuple(algebra.sample(rng) for _ in range(g.n_edges))
     return mg.LabeledGraph(g, algebra, labels)
+
+
+# swap and reset on two states: a non-commutative transformation monoid, so
+# matching a grade pins the order of the product along a path
+SWAP_RESET = mg.from_semiautomaton(
+    mg.Semiautomaton(("0", "1"), ("swap", "reset"), ((1, 0), (0, 0)))
+).algebra
+RAT_MUL = mg.named_algebra("RatMulMonoid")
+# algebras for path-grade searches: finite commutative, finite
+# non-commutative, and infinite with Fraction grades
+GRADED_ALGEBRAS = {"SIGN": SIGN, "swap-reset": SWAP_RESET, "RatMulMonoid": RAT_MUL}
+# a few rationals whose products recur, so Fraction grades match often
+RAT_POOL = (Fraction(1, 2), Fraction(2), Fraction(-1), Fraction(1))
+
+
+def rand_graded_labels(rng: random.Random, g: mg.Graph, algebra) -> mg.LabeledGraph:
+    """`rand_labels`, but RatMulMonoid labels come from `RAT_POOL`."""
+    if algebra == RAT_MUL:
+        return mg.LabeledGraph(g, RAT_MUL, tuple(rng.choice(RAT_POOL) for _ in range(g.n_edges)))
+    return rand_labels(rng, g, algebra)
 
 
 def rand_labeled(rng: random.Random, algebra, max_vertices: int = 6, max_edges: int = 8) -> mg.LabeledGraph:
@@ -148,8 +172,6 @@ def oracle_paths(g: mg.Graph, start: int, end: int, max_len: int) -> list[tuple[
 def oracle_motif_occurrences(motif: mg.LabeledGraph, host_graph: mg.LabeledGraph, max_len: int):
     """Exhaustive motif oracle: every vertex map, every bounded path tuple,
     filtered by the definition (endpoints and label product) computed inline."""
-    import itertools
-
     algebra = host_graph.algebra
     mg_graph = motif.graph
     hits = set()
@@ -169,6 +191,61 @@ def oracle_motif_occurrences(motif: mg.LabeledGraph, host_graph: mg.LabeledGraph
         for combo in itertools.product(*per_edge):
             hits.add((assignment, combo))
     return hits
+
+
+def oracle_find_motifs(
+    motif: mg.LabeledGraph,
+    host_graph: mg.LabeledGraph,
+    max_path_len: int = 6,
+    max_results: int = 10000,
+):
+    """Unpruned motif search: every vertex assignment in lexicographic order,
+    `paths_between` and a fresh `grade` per motif edge, stopping at
+    `max_results`.  Same ``(matches, truncated)`` as `find_motifs`."""
+    m_graph = motif.graph
+    matches = []
+    for assignment in itertools.product(range(host_graph.graph.n_vertices), repeat=m_graph.n_vertices):
+        candidates = []
+        for e in range(m_graph.n_edges):
+            u = assignment[m_graph.edge_src[e]]
+            v = assignment[m_graph.edge_tgt[e]]
+            wanted = motif.labels[e]
+            fits = [
+                p for p in mg.paths_between(host_graph, u, v, max_path_len)
+                if mg.grade(p, host_graph) == wanted
+            ]
+            if not fits:
+                break
+            candidates.append(fits)
+        else:
+            for combo in itertools.product(*candidates):
+                if len(matches) >= max_results:
+                    return matches, True
+                matches.append(mg.KleisliMorphism(motif, host_graph, assignment, combo))
+    return matches, False
+
+
+@contextlib.contextmanager
+def recursion_limit(headroom: int):
+    """Lower the interpreter's recursion limit to `headroom` frames above
+    the caller's depth, restoring it afterwards; yields the new limit."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    limit = depth + headroom
+    sys.setrecursionlimit(limit)
+    try:
+        yield limit
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def ring(n: int, algebra=SIGN, label="+") -> mg.LabeledGraph:
+    """The directed ring v0 -> v1 -> ... -> v(n-1) -> v0."""
+    return mg.labeled_graph(
+        [f"v{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)], algebra, [label] * n
+    )
 
 
 def oracle_simple_loops(g: mg.Graph, cap: int = LOOP_CAP):
@@ -202,8 +279,6 @@ def oracle_simple_loops(g: mg.Graph, cap: int = LOOP_CAP):
 def oracle_relations(loops, bound: int):
     """Every pair of coefficient vectors in [0, bound]^k with disjoint
     supports and equal edge sums, found by hashing all of them."""
-    import itertools
-
     sums = {}
     for vector in itertools.product(range(bound + 1), repeat=len(loops)):
         total = {}

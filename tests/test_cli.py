@@ -1,12 +1,14 @@
 """End-to-end runs of every CLI subcommand."""
 
 import json
+import random
 
 import pytest
 
+import monograph as mg
 from monograph.cli import main
 
-from helpers import FIXTURES
+from helpers import FIXTURES, GRADED_ALGEBRAS, rand_graded_labels, rand_graph, recursion_limit
 
 
 def run(capsys, *argv):
@@ -137,10 +139,8 @@ class TestComposeAndTensor:
         assert code == 0 and "9 vertices, 9 edges" in out
 
 
-@pytest.fixture
-def deep_ring(tmp_path):
-    n = 3000
-    path = tmp_path / "ring.json"
+def ring_file(tmp_path, n):
+    path = tmp_path / f"ring{n}.json"
     path.write_text(
         json.dumps(
             {
@@ -156,7 +156,13 @@ def deep_ring(tmp_path):
             }
         )
     )
-    return path, n
+    return path
+
+
+@pytest.fixture
+def deep_ring(tmp_path):
+    n = 3000
+    return ring_file(tmp_path, n), n
 
 
 class TestDeepRing:
@@ -173,6 +179,20 @@ class TestDeepRing:
         assert code == 0 and not err
         payload = json.loads(out)
         assert len(payload["generators"]) == 1 and payload["relations"] == []
+
+    def test_motif_past_the_recursion_limit(self, capsys, tmp_path):
+        n = 300
+        path = ring_file(tmp_path, n)
+        with recursion_limit(100) as limit:
+            assert limit < n
+            code, out, err = run(
+                capsys, "motif", "--motif", "positive-autoregulation", "--host", path,
+                "--max-path-len", n, "--json",
+            )
+        assert code == 0 and not err
+        matches = json.loads(out)["matches"]
+        assert [m["edge_paths"] for m in matches[:2]] == [[[]], [list(range(n))]]
+        assert len(matches) == 2 * n
 
 
 class TestHomology:
@@ -372,3 +392,29 @@ class TestMotifCli:
         payload = json.loads(out)
         # exactly the two - edges of the homework diagram
         assert len(payload["matches"]) == 2
+
+    @pytest.mark.parametrize("name", sorted(GRADED_ALGEBRAS))
+    def test_grades_are_the_grades_of_the_printed_paths(self, capsys, tmp_path, name):
+        rng = random.Random(5)
+        algebra = GRADED_ALGEBRAS[name]
+        total = 0
+        for trial in range(8):
+            h = rand_graded_labels(rng, rand_graph(rng, 4, 7), algebra)
+            motif = rand_graded_labels(rng, rand_graph(rng, 2, 2), algebra)
+            host_path, motif_path = tmp_path / f"host{trial}.json", tmp_path / f"motif{trial}.json"
+            mg.save_model(mg.ModelFile(graph=h), host_path)
+            mg.save_model(mg.ModelFile(graph=motif), motif_path)
+            code, out, err = run(
+                capsys, "motif", "--motif", motif_path, "--host", host_path,
+                "--max-path-len", "3", "--json",
+            )
+            assert code == 0 and not err
+            loaded = mg.load_model(host_path).graph
+            for match in json.loads(out)["matches"]:
+                starts = [match["vertex_map"][s] for s in motif.graph.edge_src]
+                assert match["grades"] == [
+                    algebra.label_text(mg.grade(mg.Path(start, tuple(edges)), loaded))
+                    for start, edges in zip(starts, match["edge_paths"])
+                ]
+                total += 1
+        assert total > 0

@@ -1,12 +1,32 @@
 """Motif catalog and occurrence search against the exhaustive oracle."""
 
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monograph as mg
 
-from helpers import SIGN, homework, host, oracle_motif_occurrences, oracle_paths, rand_graph, rand_labels
+from helpers import (
+    GRADED_ALGEBRAS,
+    SIGN,
+    homework,
+    host,
+    oracle_find_motifs,
+    oracle_motif_occurrences,
+    oracle_paths,
+    rand_graph,
+    rand_graded_labels,
+    rand_labels,
+    recursion_limit,
+    ring,
+)
+
+
+def keys(matches):
+    return [(k.vertex_map, tuple(p.edges for p in k.edge_map)) for k in matches]
 
 
 class TestCatalog:
@@ -49,6 +69,13 @@ class TestPathsBetween:
                     for v in range(g.graph.n_vertices):
                         found = [p.edges for p in mg.paths_between(g, u, v, max_len)]
                         assert found == sorted(oracle_paths(g.graph, u, v, max_len))
+
+    def test_depth_does_not_grow_with_the_path_length(self):
+        g = ring(300)
+        with recursion_limit(100) as limit:
+            assert limit < 300
+            paths = mg.paths_between(g, 0, 0, 300)
+        assert [p.edges for p in paths] == [(), tuple(range(300))]
 
 
 class TestFindMotifs:
@@ -120,3 +147,99 @@ class TestFindMotifs:
             matches, _ = mg.find_motifs(motif, h, max_path_len=2, max_results=200)
             for k in matches:
                 assert mg.is_kleisli_morphism(k) == (True, None)
+
+    def test_depth_does_not_grow_with_the_path_length(self):
+        g = ring(300)
+        motif = mg.builtin_motif("positive-autoregulation")
+        with recursion_limit(100) as limit:
+            assert limit < 300
+            matches, truncated = mg.find_motifs(motif, g, max_path_len=300)
+        assert not truncated
+        # per vertex, the empty path and once round the ring
+        assert keys(matches) == [
+            ((v,), (edges,)) for v in range(300) for edges in ((), tuple((v + i) % 300 for i in range(300)))
+        ]
+
+
+class TestAgainstTheUnprunedSearch:
+    """`find_motifs` against `helpers.oracle_find_motifs`, the assignment
+    product with a fresh path enumeration and grading per motif edge."""
+
+    @pytest.mark.parametrize("name", sorted(GRADED_ALGEBRAS))
+    @settings(max_examples=100, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False))
+    def test_same_matches_in_the_same_order(self, name, rnd):
+        algebra = GRADED_ALGEBRAS[name]
+        h = rand_graded_labels(rnd, rand_graph(rnd, 4, 7), algebra)
+        motif = rand_graded_labels(rnd, rand_graph(rnd, 3, 3), algebra)
+        max_len = rnd.randint(1, 3)
+        found, truncated = mg.find_motifs(motif, h, max_len)
+        expected, expected_truncated = oracle_find_motifs(motif, h, max_len)
+        assert (keys(found), truncated) == (keys(expected), expected_truncated)
+        for cap in range(6):
+            capped, capped_truncated = mg.find_motifs(motif, h, max_len, cap)
+            assert keys(capped) == keys(expected)[:cap]
+            assert capped_truncated == (len(expected) > cap or expected_truncated)
+
+    def test_empty_motif_has_exactly_one_empty_match(self):
+        empty = mg.labeled_graph([], [], SIGN, [])
+        for h in (host(), mg.labeled_graph([], [], SIGN, [])):
+            matches, truncated = mg.find_motifs(empty, h)
+            assert keys(matches) == [((), ())] and not truncated
+            expected, expected_truncated = oracle_find_motifs(empty, h)
+            assert keys(expected) == [((), ())] and not expected_truncated
+            assert mg.find_motifs(empty, h, max_results=0) == ([], True)
+
+    def test_isolated_motif_vertex_ranges_over_the_host(self):
+        motif = mg.labeled_graph(["v", "w"], [(0, 0)], SIGN, ["-"])
+        h = host()
+        matches, truncated = mg.find_motifs(motif, h, 3)
+        assert not truncated
+        assert keys(matches) == keys(oracle_find_motifs(motif, h, 3)[0])
+        assert {k.vertex_map[1] for k in matches} == set(range(h.graph.n_vertices))
+
+    def test_self_loop_motif_edge_takes_the_empty_path(self):
+        lone = mg.labeled_graph(["a"], [], SIGN, [])
+        matches, _ = mg.find_motifs(mg.builtin_motif("positive-autoregulation"), lone, 1)
+        assert keys(matches) == [((0,), ((),))]
+        assert mg.find_motifs(mg.builtin_motif("negative-autoregulation"), lone, 1) == ([], False)
+
+    def test_empty_host_has_no_matches(self):
+        empty = mg.labeled_graph([], [], SIGN, [])
+        assert mg.find_motifs(mg.builtin_motif("positive-stimulation"), empty) == ([], False)
+
+
+def counting_algebra():
+    """NatAdd with a `mul` that counts its calls."""
+    calls = [0]
+    nat = mg.named_algebra("NatAdd")
+
+    def mul(a, b):
+        calls[0] += 1
+        return nat.mul(a, b)
+
+    return dataclasses.replace(nat, mul=mul), calls
+
+
+class TestWork:
+    def test_grading_work_is_bounded_by_the_walks_of_the_host(self):
+        nat, calls = counting_algebra()
+        rng = random.Random(11)
+        n, max_len = 8, 3
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(16)]
+        h = mg.LabeledGraph(mg.graph([f"h{i}" for i in range(n)], edges), nat, tuple(rng.randrange(2) for _ in edges))
+        # every nonempty walk of at most max_len edges, from every source
+        walks = sum(
+            len(oracle_paths(h.graph, u, v, max_len)) for u in range(n) for v in range(n)
+        ) - n
+        for k in range(1, 5):
+            chain = mg.graph([f"m{i}" for i in range(k)], [(i, i + 1) for i in range(k - 1)] + [(0, 0)])
+            motif = mg.LabeledGraph(chain, nat, (1,) * (k - 1) + (0,))
+            calls[0] = 0
+            matches, truncated = mg.find_motifs(motif, h, max_len)
+            assert calls[0] <= walks
+            assert not truncated and keys(matches) == keys(oracle_find_motifs(motif, h, max_len)[0])
+        # the unpruned search regrades the same walks once per assignment
+        calls[0] = 0
+        oracle_find_motifs(motif, h, max_len)
+        assert calls[0] > n * walks
