@@ -57,11 +57,11 @@ def _write(path, text: str) -> None:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
 
 
-def _graph_of(model: ModelFile, path) -> tuple:
+def _graph_of(model: ModelFile, path):
     g = model.any_graph
     if g is None:
         raise CliError(f"{path}: file has no graph section")
-    return g, model
+    return g
 
 
 def _open_of(model: ModelFile, path):
@@ -112,7 +112,7 @@ def _loop_rows(g, model: ModelFile):
             tag = "reinforcing" if polarity_text == "+" else "balancing"
         rows.append(
             {
-                "edges": [model.edge_ids[e] if model.edge_ids else f"e{e}" for e in loop.edges],
+                "edges": [model.edge_ids[e] for e in loop.edges],
                 "vertices": [g.graph.vertex_names[v] for v in loop.vertices(g.graph)],
                 "polarity": polarity_text,
                 "feedback": algebra.label_text(feedback(loop, g)) if has_sum else None,
@@ -124,7 +124,7 @@ def _loop_rows(g, model: ModelFile):
 
 def cmd_loops(args) -> int:
     model = _load(args.file)
-    g, _ = _graph_of(model, args.file)
+    g = _graph_of(model, args.file)
     rows, truncated = _loop_rows(g, model)
     if args.json:
         _emit_json({"loops": rows, "truncated": truncated})
@@ -142,13 +142,11 @@ def cmd_loops(args) -> int:
 
 
 def cmd_motif(args) -> int:
-    host_model = _load(args.host)
-    host, _ = _graph_of(host_model, args.host)
+    host = _graph_of(_load(args.host), args.host)
     if args.motif in MOTIF_NAMES:
         motif = builtin_motif(args.motif)
     else:
-        motif_model = _load(args.motif)
-        motif, _ = _graph_of(motif_model, args.motif)
+        motif = _graph_of(_load(args.motif), args.motif)
     try:
         matches, truncated = find_motifs(motif, host, args.max_path_len, args.max_results)
     except ValueError as exc:
@@ -198,14 +196,13 @@ def cmd_combine(args) -> int:
 
 def cmd_homology(args) -> int:
     model = _load(args.file)
-    g, _ = _graph_of(model, args.file)
+    g = _graph_of(model, args.file)
     loops, truncated = simple_loops(g.graph)
     try:
         relations = find_relations(loops, args.bound)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     zeroth = h0(g.graph, g.algebra) if _coefficient_view(g.algebra) is not None else None
-    edge_name = (lambda e: model.edge_ids[e]) if model.edge_ids else (lambda e: f"e{e}")
 
     def loop_term(vector):
         return " + ".join(
@@ -216,7 +213,7 @@ def cmd_homology(args) -> int:
         _emit_json(
             {
                 "h0_components": zeroth.count if zeroth else None,
-                "generators": [[edge_name(e) for e in loop.edges] for loop in loops],
+                "generators": [[model.edge_ids[e] for e in loop.edges] for loop in loops],
                 "relations": [
                     {"lhs": list(r.lhs), "rhs": list(r.rhs)} for r in relations
                 ],
@@ -228,7 +225,7 @@ def cmd_homology(args) -> int:
         print(f"h0: {zeroth.description}")
     print(f"h1 generators ({len(loops)} simple loop class(es)):")
     for i, loop in enumerate(loops):
-        print(f"  g{i}: [{', '.join(edge_name(e) for e in loop.edges)}]")
+        print(f"  g{i}: [{', '.join(model.edge_ids[e] for e in loop.edges)}]")
     print(f"relations at coefficient bound {args.bound}: {len(relations)}")
     for r in relations:
         print(f"  {loop_term(r.lhs)} = {loop_term(r.rhs)}")
@@ -300,7 +297,7 @@ def _resolve_hom(args, g) -> MonoidHom:
 
 def cmd_change_labels(args) -> int:
     model = _load(args.file)
-    g, _ = _graph_of(model, args.file)
+    g = _graph_of(model, args.file)
     hom = _resolve_hom(args, g)
     try:
         relabeled = change_labels(hom, g)
@@ -316,7 +313,7 @@ def cmd_change_labels(args) -> int:
 
 def cmd_decompose(args) -> int:
     model = _load(args.file)
-    g, _ = _graph_of(model, args.file)
+    g = _graph_of(model, args.file)
     try:
         raw = json.loads(args.chain)
     except json.JSONDecodeError as exc:
@@ -346,9 +343,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    model = _load(args.file)
-    g, _ = _graph_of(model, args.file)
-    text = export_dot(g)
+    text = export_dot(_graph_of(_load(args.file), args.file))
     if args.out:
         _write(args.out, text)
         print(f"wrote {args.out}")
@@ -429,7 +424,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except CliError as exc:
+    except (CliError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,17 +16,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import LabelAlgebra, TableAlgebra, algebra_name
+from .algebra import LabelAlgebra
 from .graphs import LabeledGraph
 from .homology import (
-    NAT,
     Chain,
     SimpleLoop,
     boundary_pair,
-    brute_force_circulations,
-    brute_force_h1,
     chain,
     chain_add,
+    cycles,
     is_cycle,
     loop_polarity,
     simple_loops,
@@ -145,15 +143,7 @@ def mv_check(g: GluedGraph, algebra: LabelAlgebra, mode: str, bound=None, side: 
     (q-form) conditions can only disagree when the coefficients are
     non-cancellative.
     """
-    graph = g.composite.graph
-    if isinstance(algebra, TableAlgebra):
-        all_cycles = brute_force_h1(graph, algebra)
-    elif algebra == NAT:
-        if bound is None:
-            raise ValueError("natural-number enumeration needs a coefficient bound")
-        all_cycles = brute_force_circulations(graph, bound)
-    else:
-        raise ValueError(f"cycles are enumerated over finite tables or NatAdd, not {algebra_name(algebra)}")
+    all_cycles = cycles(g.composite.graph, algebra, bound)
     x_cycles = [c for c in all_cycles if side_projection(c, g, "x") == c]
     y_cycles = [c for c in all_cycles if side_projection(c, g, "y") == c]
     image = {chain_add(cx, cy) for cx in x_cycles for cy in y_cycles}

@@ -8,7 +8,9 @@ are exactly the rotation classes of simple loops, every bounded circulation
 is a sum of simple loops, and a labeling extends to a feedback homomorphism
 determined by its values on those minimal cycles.
 
-Brute-force enumerators double as oracles for all of the above at desk scale.
+`cycles` lists every cycle over a finite range of coefficients by
+backtracking over edges, checking each vertex's balance once all its edges
+have values.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .algebra import Element, LabelAlgebra, TableAlgebra, named_algebra
+from .algebra import Element, LabelAlgebra, TableAlgebra, algebra_name, named_algebra
 from .graphs import Graph, LabeledGraph, undirected_components
 from .paths import Path, grade
 
@@ -396,10 +398,12 @@ def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fract
             del row[col]
 
 
-def _space_text(base: int, exponent: int, guard: int, at_least: bool = False) -> str:
-    digits = str(guard)
-    guard_text = f"10^{len(digits) - 1}" if len(digits) > 1 and digits.rstrip("0") == "1" else digits
-    return f"relation search space {'at least ' if at_least else ''}{base}^{exponent} > guard {guard_text}"
+def _over_guard(space: str, guard: int) -> str:
+    """`space` against `guard`, writing 1000000 as 10^6 and 2000000 as 2*10^6."""
+    digits, head = str(guard), str(guard).rstrip("0")
+    if len(head) == 1 and head != digits:
+        digits = ("" if head == "1" else head + "*") + f"10^{len(digits) - 1}"
+    return f"{space} > guard {digits}"
 
 
 def find_relations(
@@ -431,7 +435,7 @@ def find_relations(
     rows = {tuple(counts.items()) for counts in by_edge.values()}
     least_free = max(k - len(rows), 0)
     if base ** least_free > guard:
-        raise ValueError(_space_text(base, least_free, guard, at_least=True))
+        raise ValueError(_over_guard(f"relation search space at least {base}^{least_free}", guard))
     # Gauss-Jordan elimination, one row at a time: each pivot row has a 1 in
     # its pivot column and 0 in every other pivot column
     pivots: dict[int, dict[int, Fraction]] = {}
@@ -451,7 +455,7 @@ def find_relations(
         pivots[col] = row
     free = [col for col in range(k) if col not in pivots]
     if base ** len(free) > guard:
-        raise ValueError(_space_text(base, len(free), guard))
+        raise ValueError(_over_guard(f"relation search space {base}^{len(free)}", guard))
     # z[p] = -sum(row[f] * z[f]) over free f, scaled to integers: z[p] = -num / den
     solved = []
     for col, row in pivots.items():
@@ -476,49 +480,55 @@ def find_relations(
     return sorted(relations, key=lambda r: (r.lhs, r.rhs))
 
 
-def brute_force_h1(g: Graph, algebra: TableAlgebra, guard: int = 10**6) -> list[Chain]:
-    """Every cycle with coefficients in a finite algebra, by enumeration."""
-    if not isinstance(algebra, TableAlgebra):
-        raise ValueError("exhaustive search needs a finite coefficient algebra")
-    size = algebra.size
-    if size ** g.n_edges > guard:
-        raise ValueError("enumeration space exceeds the guard")
-    cycles = []
-    for assignment in itertools.product(range(size), repeat=g.n_edges):
-        candidate = chain(algebra, dict(enumerate(assignment)))
-        if is_cycle(candidate, g):
-            cycles.append(candidate)
-    return cycles
+def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None, guard: int = 2 * 10**6) -> list[Chain]:
+    """Every cycle with coefficients among the elements of a table algebra,
+    or in 0..`bound` over NatAdd, sorted by coefficient tuple.
 
-
-def brute_force_circulations(g: Graph, bound: int, guard: int = 10**6) -> list[Chain]:
-    """Every natural-number cycle with coefficients at most `bound`."""
-    if (bound + 1) ** g.n_edges > guard:
-        raise ValueError("enumeration space exceeds the guard")
-    n_vertices = g.n_vertices
-    src, tgt = g.edge_src, g.edge_tgt
-    cycles = []
-    for assignment in itertools.product(range(bound + 1), repeat=g.n_edges):
-        sums = [0] * n_vertices
-        for e, coefficient in enumerate(assignment):
-            if coefficient:
-                sums[src[e]] += coefficient
-                sums[tgt[e]] -= coefficient
-        if not any(sums):
-            cycles.append(nat_chain(dict(enumerate(assignment))))
-    return cycles
-
-
-def minimal_elements(chains: Iterable[Chain]) -> list[Chain]:
-    """Nonzero chains minimal in the pointwise order among those given.
-
-    For natural-number cycles the pointwise order coincides with the
-    canonical preorder (x below y iff x plus some cycle equals y).
+    Vertices are placed in ascending id, each edge is assigned once its
+    later endpoint is placed, and a vertex whose last edge gets a value must
+    balance (forward checking; the coefficient view is commutative, so the
+    order of summing is immaterial).  Raises ValueError past `guard` values tried.
     """
-    pool = [c for c in chains if not c.is_zero]
-
-    def below(a: Chain, b: Chain) -> bool:
-        b_coeffs = b.as_dict()
-        return all(e in b_coeffs and v <= b_coeffs[e] for e, v in a.items)
-
-    return [c for c in pool if not any(other != c and below(other, c) for other in pool)]
+    if isinstance(algebra, TableAlgebra):
+        values = range(algebra.size)
+    elif algebra == NAT:
+        if bound is None:
+            raise ValueError("natural-number enumeration needs a coefficient bound")
+        values = range(bound + 1)
+    else:
+        raise ValueError(f"cycles are enumerated over finite tables or NatAdd, not {algebra_name(algebra)}")
+    add, zero = algebra.add, algebra.zero  # zero raises unless there is a coefficient view
+    src, tgt = g.edge_src, g.edge_tgt
+    order = sorted(range(g.n_edges), key=lambda e: (max(src[e], tgt[e]), e))
+    if not order:
+        return [chain(algebra, {})]
+    last = {v: i for i, e in enumerate(order) for v in (src[e], tgt[e])}
+    closing: list[list[int]] = [[] for _ in order]  # the vertices whose last edge is order[i]
+    for v, i in last.items():
+        closing[i].append(v)
+    coeff = [zero] * g.n_edges
+    out_sum, in_sum = [zero] * g.n_vertices, [zero] * g.n_vertices
+    found, nodes = [], 0
+    frames = [(iter(values), zero, zero)]  # untried values, out-sum at src and in-sum at tgt before
+    while frames:
+        i = len(frames) - 1
+        e = order[i]
+        untried, out_before, in_before = frames[-1]
+        for x in untried:
+            nodes += 1
+            if nodes > guard:
+                space = f"cycle search space {len(values)}^{len(order)} expanded {nodes} nodes"
+                raise ValueError(_over_guard(space, guard))
+            coeff[e] = x
+            out_sum[src[e]], in_sum[tgt[e]] = add(out_before, x), add(in_before, x)
+            if all(out_sum[v] == in_sum[v] for v in closing[i]):
+                if i + 1 == len(order):
+                    found.append(tuple(coeff))
+                else:
+                    f = order[i + 1]
+                    frames.append((iter(values), out_sum[src[f]], in_sum[tgt[f]]))
+                    break
+        else:
+            out_sum[src[e]], in_sum[tgt[e]] = out_before, in_before
+            frames.pop()
+    return [chain(algebra, dict(enumerate(c))) for c in sorted(found)]

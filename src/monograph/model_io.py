@@ -283,6 +283,8 @@ def parse_model(text: str) -> ModelFile:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError("json-syntax", exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise ModelFormatError("json-syntax", "nested too deeply to decode") from None
     _require(isinstance(obj, dict), "schema", "model file must be a JSON object")
     version = obj.get("format")
     _require(version == FORMAT_VERSION, "schema", f"format must be {FORMAT_VERSION}, got {version!r}")

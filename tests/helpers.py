@@ -8,6 +8,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterable
 
 import monograph as mg
 from monograph.homology import LOOP_CAP
@@ -293,3 +294,51 @@ def oracle_relations(loops, bound: int):
             if all(min(a, b) == 0 for a, b in zip(lhs, rhs)):
                 relations.append(mg.Relation(min(lhs, rhs), max(lhs, rhs)))
     return sorted(relations, key=lambda r: (r.lhs, r.rhs))
+
+
+def brute_force_h1(g: mg.Graph, algebra: mg.TableAlgebra, guard: int = 10**6) -> list[mg.Chain]:
+    """Every cycle with coefficients in a finite algebra, by enumeration."""
+    if not isinstance(algebra, mg.TableAlgebra):
+        raise ValueError("exhaustive search needs a finite coefficient algebra")
+    size = algebra.size
+    if size ** g.n_edges > guard:
+        raise ValueError("enumeration space exceeds the guard")
+    cycles = []
+    for assignment in itertools.product(range(size), repeat=g.n_edges):
+        candidate = mg.chain(algebra, dict(enumerate(assignment)))
+        if mg.is_cycle(candidate, g):
+            cycles.append(candidate)
+    return cycles
+
+
+def brute_force_circulations(g: mg.Graph, bound: int, guard: int = 10**6) -> list[mg.Chain]:
+    """Every natural-number cycle with coefficients at most `bound`."""
+    if (bound + 1) ** g.n_edges > guard:
+        raise ValueError("enumeration space exceeds the guard")
+    n_vertices = g.n_vertices
+    src, tgt = g.edge_src, g.edge_tgt
+    cycles = []
+    for assignment in itertools.product(range(bound + 1), repeat=g.n_edges):
+        sums = [0] * n_vertices
+        for e, coefficient in enumerate(assignment):
+            if coefficient:
+                sums[src[e]] += coefficient
+                sums[tgt[e]] -= coefficient
+        if not any(sums):
+            cycles.append(mg.nat_chain(dict(enumerate(assignment))))
+    return cycles
+
+
+def minimal_elements(chains: Iterable[mg.Chain]) -> list[mg.Chain]:
+    """Nonzero chains minimal in the pointwise order among those given.
+
+    For natural-number cycles the pointwise order coincides with the
+    canonical preorder (x below y iff x plus some cycle equals y).
+    """
+    pool = [c for c in chains if not c.is_zero]
+
+    def below(a: mg.Chain, b: mg.Chain) -> bool:
+        b_coeffs = b.as_dict()
+        return all(e in b_coeffs and v <= b_coeffs[e] for e, v in a.items)
+
+    return [c for c in pool if not any(other != c and below(other, c) for other in pool)]

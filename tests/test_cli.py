@@ -317,6 +317,31 @@ class TestOutputErrors:
         assert code == 1 and not out
         assert err == "error: coefficient bound must be at least 0, got -1\n"
 
+    def test_deeply_nested_model_is_invalid(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10**5 + "]" * 10**5)
+        code, out, err = run(capsys, "validate", deep)
+        assert code == 1 and not err
+        assert out == f"{deep}: INVALID\n  {deep}: [json-syntax] nested too deeply to decode\n"
+        code, out, err = run(capsys, "loops", deep)
+        assert code == 1 and not out
+        assert err == f"error: {deep}: [json-syntax] nested too deeply to decode\n"
+
+    def test_deeply_nested_chain_is_an_error(self, capsys):
+        code, out, err = run(capsys, "decompose", FIXTURES / "q4.json", "--chain", "[" * 10**5)
+        assert code == 1 and not out
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
+    def test_deeply_nested_hom_file_is_an_error(self, capsys, tmp_path):
+        deep = tmp_path / "hom.json"
+        deep.write_text("[" * 10**5)
+        code, out, err = run(
+            capsys, "change-labels", FIXTURES / "homework.json",
+            "--hom-file", deep, "--out", tmp_path / "out.json",
+        )
+        assert code == 1 and not out
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+
     def test_negative_motif_result_cap(self, capsys):
         code, out, err = run(
             capsys, "motif", "--motif", "positive-autoregulation",

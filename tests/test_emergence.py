@@ -7,7 +7,7 @@ import pytest
 import monograph as mg
 from monograph.homology import NAT
 
-from helpers import BOOL, FIXTURES, TRIVIAL, rand_glue_pair
+from helpers import BOOL, FIXTURES, TRIVIAL, brute_force_circulations, rand_glue_pair
 
 from test_algebra import cyclic_group, truncated_add
 
@@ -164,6 +164,19 @@ class TestMayerVietoris:
             assert report.ok
         assert mg.emergence_report(g).emergent_count >= 1
 
+    def test_intro_glue_at_bound_two(self):
+        # 3^13 assignments, past the million the old enumeration admitted;
+        # the brute-force oracle with a raised guard also finds 27 cycles
+        g = intro_glue()
+        graph = g.composite.graph
+        assert mg.cycles(graph, NAT, 1) == brute_force_circulations(graph, 1)
+        all_cycles = mg.cycles(graph, NAT, 2)
+        assert len(all_cycles) == 27
+        assert all(mg.is_cycle(c, graph) and max(c.as_dict().values(), default=0) <= 2 for c in all_cycles)
+        for mode in ("two-sided", "one-sided", "q-form"):
+            report = mg.mv_check(g, NAT, mode, bound=2)
+            assert report.ok and report.total_cycles == 27
+
     def test_boolean_counterexample_passes_one_sided_but_is_not_inherited(self):
         g = boolean_glue()
         report = mg.mv_check(g, BOOL, "one-sided", side="x")
@@ -188,7 +201,7 @@ class TestMayerVietoris:
         for _ in range(15):
             x, y = rand_glue_pair(rng, TRIVIAL, max_edges=3)
             g = mg.glue(x, y)
-            cycles = mg.brute_force_circulations(g.composite.graph, 1)
+            cycles = mg.cycles(g.composite.graph, NAT, 1)
             x_cycles = [c for c in cycles if mg.side_projection(c, g, "x") == c]
             y_cycles = [c for c in cycles if mg.side_projection(c, g, "y") == c]
             sums = {mg.chain_add(cx, cy) for cx in x_cycles for cy in y_cycles}

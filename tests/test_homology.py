@@ -1,5 +1,6 @@
 """Chains, cycles, simple loops, decomposition, relations, and the oracles."""
 
+import inspect
 import random
 
 import pytest
@@ -7,23 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
-from monograph.homology import LOOP_CAP, NAT, canonical_rotation
+from monograph.homology import LOOP_CAP, NAT, _over_guard, canonical_rotation
 
 from helpers import (
     BOOL,
     SIGN,
+    SIGN0,
+    SWAP_RESET,
     bfs_components,
+    brute_force_circulations,
+    brute_force_h1,
     g2,
     homework,
+    minimal_elements,
     oracle_relations,
     oracle_simple_loops,
     p2,
     q4,
     r5,
     rand_graph,
+    recursion_limit,
 )
 
-from test_algebra import cyclic_group
+from test_algebra import cyclic_group, truncated_add
 
 
 class TestBoundary:
@@ -133,7 +140,7 @@ class TestSimpleLoops:
         for _ in range(40):
             g = rand_graph(rng, 5, 7)
             loops, _ = mg.simple_loops(g)
-            minimal = mg.minimal_elements(mg.brute_force_circulations(g, 2))
+            minimal = minimal_elements(mg.cycles(g, NAT, 2))
             assert {c for c in minimal} == {l.indicator() for l in loops}
 
 
@@ -306,42 +313,102 @@ def _combine(loops, vector):
 
 
 class TestBruteForce:
+    """Cases first pinned on the brute-force enumerators, now test oracles:
+    `cycles` gives the same lists, and so do the oracles."""
+
     def test_two_cycle_over_boolean(self):
-        cycles = mg.brute_force_h1(g2(), BOOL)
-        assert cycles == [mg.chain(BOOL, {}), mg.chain(BOOL, {0: 1, 1: 1})]
+        expected = [mg.chain(BOOL, {}), mg.chain(BOOL, {0: 1, 1: 1})]
+        assert mg.cycles(g2(), BOOL) == brute_force_h1(g2(), BOOL) == expected
 
     def test_parallel_pair_over_z2_ignores_direction(self):
         z2 = cyclic_group(2)
-        cycles = mg.brute_force_h1(p2(), z2)
-        assert cycles == [mg.chain(z2, {}), mg.chain(z2, {0: 1, 1: 1})]
+        expected = [mg.chain(z2, {}), mg.chain(z2, {0: 1, 1: 1})]
+        assert mg.cycles(p2(), z2) == brute_force_h1(p2(), z2) == expected
 
     def test_group_coefficients_cannot_tell_the_two_graphs_apart(self):
         z2 = cyclic_group(2)
-        assert len(mg.brute_force_h1(g2(), z2)) == len(mg.brute_force_h1(p2(), z2))
+        assert len(mg.cycles(g2(), z2)) == len(mg.cycles(p2(), z2))
+        assert len(brute_force_h1(g2(), z2)) == len(brute_force_h1(p2(), z2))
 
     def test_nat_coefficients_can(self):
-        assert len(mg.brute_force_circulations(g2(), 1)) == 2
-        assert len(mg.brute_force_circulations(p2(), 1)) == 1  # only zero
+        for enumerate_cycles in (lambda g: mg.cycles(g, NAT, 1), lambda g: brute_force_circulations(g, 1)):
+            assert len(enumerate_cycles(g2())) == 2
+            assert len(enumerate_cycles(p2())) == 1  # only zero
 
     def test_edgeless_graph_has_only_zero(self):
         g = mg.graph(["u", "v"], [])
-        assert mg.brute_force_h1(g, BOOL) == [mg.chain(BOOL, {})]
+        assert mg.cycles(g, BOOL) == brute_force_h1(g, BOOL) == [mg.chain(BOOL, {})]
 
     def test_quad_bound_one_circulations(self):
-        chains = mg.brute_force_circulations(q4(), 1)
+        chains = mg.cycles(q4(), NAT, 1)
+        assert chains == brute_force_circulations(q4(), 1)
         supports = sorted(c.support for c in chains)
         assert supports == [(), (0, 1, 2, 3), (0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_dag_has_only_the_zero_circulation(self):
         dag = mg.graph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
-        assert mg.brute_force_circulations(dag, 3) == [mg.nat_chain({})]
+        assert mg.cycles(dag, NAT, 3) == brute_force_circulations(dag, 3) == [mg.nat_chain({})]
 
     def test_guards(self):
+        # every assignment of 21 self-loops is a cycle; the default guard
+        # would stop only after a million of them, so a smaller one is given
         big = mg.graph(["u"], [(0, 0)] * 21)
-        with pytest.raises(ValueError):
-            mg.brute_force_circulations(big, 1)
-        with pytest.raises(ValueError):
-            mg.brute_force_h1(big, BOOL)
+        with pytest.raises(ValueError, match=r"^cycle search space 2\^21 expanded 10001 nodes > guard 10\^4$"):
+            mg.cycles(big, NAT, 1, guard=10**4)
+        with pytest.raises(ValueError, match=r"^cycle search space 2\^21 expanded 10001 nodes > guard 10\^4$"):
+            mg.cycles(big, BOOL, guard=10**4)
+        with pytest.raises(ValueError, match="enumeration space exceeds the guard"):
+            brute_force_circulations(big, 1)
+        with pytest.raises(ValueError, match="enumeration space exceeds the guard"):
+            brute_force_h1(big, BOOL)
+
+
+class TestCycles:
+    def test_tiny_guard_names_the_numbers(self):
+        with pytest.raises(ValueError, match=r"^cycle search space 3\^4 expanded 4 nodes > guard 3$"):
+            mg.cycles(q4(), NAT, 2, guard=3)
+
+    def test_guard_admits_every_unpruned_tree_under_half_of_it(self):
+        # a tree of size^E leaves has fewer than 2 * size^E nodes, so the
+        # default guard runs every input with size^E <= 10^6
+        assert inspect.signature(mg.cycles).parameters["guard"].default == 2 * 10**6
+        for algebra, bound, size in ((BOOL, None, 2), (NAT, 2, 3), (truncated_add(3), None, 4)):
+            for n_edges in range(1, 6):
+                loops = mg.graph(["u"], [(0, 0)] * n_edges)
+                assert len(mg.cycles(loops, algebra, bound, guard=2 * size**n_edges)) == size**n_edges
+
+    def test_guard_text_writes_powers_of_ten(self):
+        texts = [_over_guard("space", n) for n in (0, 3, 10, 12000, 10**6, 2 * 10**6)]
+        assert [t.removeprefix("space > guard ") for t in texts] == ["0", "3", "10^1", "12000", "10^6", "2*10^6"]
+
+    def test_other_builtins_and_missing_bounds_are_refused(self):
+        with pytest.raises(ValueError, match="needs a coefficient bound"):
+            mg.cycles(g2(), NAT)
+        with pytest.raises(ValueError, match="not IntAdd"):
+            mg.cycles(g2(), mg.named_algebra("IntAdd"), 1)
+        with pytest.raises(ValueError, match="no coefficient view"):
+            mg.cycles(mg.graph(["u"], []), SWAP_RESET)
+
+    def test_deep_ring_stays_off_the_interpreter_stack(self):
+        n = 3000
+        ring = mg.graph([f"v{i}" for i in range(n)], [(i, (i + 1) % n) for i in range(n)])
+        with recursion_limit(100):
+            found = mg.cycles(ring, NAT, 1)
+        assert found == [mg.nat_chain({}), mg.nat_chain(dict.fromkeys(range(n), 1))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_table_oracle(self, rnd):
+        g = rand_graph(rnd, 5, 7)
+        for algebra in (BOOL, SIGN0, cyclic_group(3), truncated_add(2)):
+            assert mg.cycles(g, algebra) == brute_force_h1(g, algebra)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_circulation_oracle(self, rnd):
+        g = rand_graph(rnd, 5, 7)
+        for bound in (0, 1, 2, 3):
+            assert mg.cycles(g, NAT, bound) == brute_force_circulations(g, bound)
 
 
 @settings(max_examples=50, deadline=None)

@@ -98,6 +98,11 @@ class TestParsing:
         assert excinfo.value.code == "json-syntax"
         assert excinfo.value.line == 2
 
+    def test_deep_nesting_is_a_json_syntax_error(self):
+        with pytest.raises(ModelFormatError) as excinfo:
+            mg.parse_model("[" * 10**5 + "]" * 10**5)
+        assert excinfo.value.code == "json-syntax"
+
     def test_schema_violations_have_their_own_code(self):
         with pytest.raises(ModelFormatError) as excinfo:
             mg.parse_model(json.dumps({"format": 1}))
