@@ -8,6 +8,7 @@ human-readable tables to machine-readable JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,6 +27,7 @@ from .homology import decompose_cycle, feedback, find_relations, h0, loop_polari
 from .model_io import (
     ModelFile,
     ModelFormatError,
+    _dumps,
     emit_model,
     export_dot,
     load_model,
@@ -71,7 +73,7 @@ def _open_of(model: ModelFile, path):
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_dumps(obj))
 
 
 def cmd_validate(args) -> int:
@@ -182,8 +184,9 @@ def _two_open_inputs(args):
 
 def cmd_combine(args) -> int:
     left, right = _two_open_inputs(args)
+    combine = compose_open if args.command == "compose" else tensor_open
     try:
-        result = args.combine(left, right)
+        result = combine(left, right)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     _write(args.out, emit_model(ModelFile(open_graph=result)))
@@ -360,12 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check files against schema and algebra axioms")
     p.add_argument("files", nargs="+")
-    p.set_defaults(run=cmd_validate)
 
     p = sub.add_parser("loops", help="simple loop classes with polarity and feedback")
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_loops)
 
     p = sub.add_parser("motif", help="find motif occurrences in a host graph")
     p.add_argument("--motif", required=True, help="builtin motif name or a model file")
@@ -373,30 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-path-len", type=int, default=6)
     p.add_argument("--max-results", type=int, default=10000)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_motif)
 
-    for name, helptext, combine in (
-        ("compose", "glue two open graphs output-to-input", compose_open),
-        ("tensor", "set two open graphs side by side", tensor_open),
+    for name, helptext in (
+        ("compose", "glue two open graphs output-to-input"),
+        ("tensor", "set two open graphs side by side"),
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("inputs", nargs="*", metavar="FILE")
         p.add_argument("--left")
         p.add_argument("--right")
         p.add_argument("--out", required=True)
-        p.set_defaults(run=cmd_combine, combine=combine)
 
     p = sub.add_parser("homology", help="components, loop generators and relations")
     p.add_argument("file")
     p.add_argument("--bound", type=int, default=1)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_homology)
 
     p = sub.add_parser("emergence", help="tag composite loops inherited or emergent")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_emergence)
 
     p = sub.add_parser("change-labels", help="relabel a graph through a homomorphism")
     p.add_argument("file")
@@ -404,26 +401,38 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--hom", help="collapse, sign, or sign-section")
     group.add_argument("--hom-file")
     p.add_argument("--out", required=True)
-    p.set_defaults(run=cmd_change_labels)
 
     p = sub.add_parser("decompose", help="split a circulation into simple loops")
     p.add_argument("file")
     p.add_argument("--chain", required=True, help='JSON object: {"edge id": coefficient}')
     p.add_argument("--json", action="store_true")
-    p.set_defaults(run=cmd_decompose)
 
     p = sub.add_parser("export-dot", help="emit Graphviz text")
     p.add_argument("file")
     p.add_argument("--out")
-    p.set_defaults(run=cmd_export_dot)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first `main()` call and reused by the rest:
+    parsing leaves no state in it."""
+    return build_parser()
+
+
+def _handler(command: str):
+    """The function that runs `command`, looked up when it runs: the parser
+    holds no function, so a module function rebound after the parser was
+    built (as a tracer does) is the one called."""
+    name = "combine" if command in ("compose", "tensor") else command.replace("-", "_")
+    return globals()["cmd_" + name]
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.run(args)
+        return _handler(args.command)(args)
     except (CliError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

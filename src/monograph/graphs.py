@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, apply_hom
+from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, _noncommuting, _tabulate, apply_hom
 from .validation import AXIOM, STRUCTURE, ValidationReport
 
 
@@ -226,15 +226,14 @@ def from_semiautomaton(sa: Semiautomaton, limit: int = TRANSFORMATION_MONOID_LIM
         frontier = new_frontier
 
     size = len(elements)
-    table = []
-    for x in elements:
-        for y in elements:
-            table.append(index[tuple(x[y[v]] for v in range(n))])
+    table = _tabulate(size, lambda x, y: index[tuple(elements[x][w] for w in elements[y])])
+    pairs = itertools.product(range(size), repeat=2)
+    commutative = next(_noncommuting(lambda x, y: table[x * size + y], pairs), None) is None
     algebra = TableAlgebra(
         tuple("[" + ",".join(map(str, t)) + "]" for t in elements),
-        tuple(table),
+        table,
         unit=0,
-        flags=Flags(commutative=_table_commutative(table, size)),
+        flags=Flags(commutative=commutative),
     )
 
     edges = []
@@ -244,10 +243,6 @@ def from_semiautomaton(sa: Semiautomaton, limit: int = TRANSFORMATION_MONOID_LIM
             edges.append((v, row[v]))
             labels.append(index[generators[a]])
     return LabeledGraph(graph(sa.state_names, edges), algebra, tuple(labels))
-
-
-def _table_commutative(table: list[int], size: int) -> bool:
-    return all(table[a * size + b] == table[b * size + a] for a in range(size) for b in range(a))
 
 
 def undirected_components(g: Graph) -> list[list[int]]:

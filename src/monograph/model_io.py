@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .algebra import (
@@ -64,11 +65,8 @@ def _require(condition: bool, code: str, message: str) -> None:
 
 
 def _as_id(value: Any, where: str) -> str:
-    _require(
-        isinstance(value, (str, int)) and not isinstance(value, bool),
-        "schema",
-        f"{where}: ids must be strings or integers, got {value!r}",
-    )
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise ModelFormatError("schema", f"{where}: ids must be strings or integers, got {value!r}")
     return str(value)
 
 
@@ -105,7 +103,8 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
         _require(isinstance(table, list), "bad-table", f"{key} must be a flat row-major list")
         _require(len(table) == n * n, "bad-table", f"{key} has {len(table)} entries, expected {n * n}")
         for v in table:
-            _require(is_index(v), "bad-table", f"{key} entry {v!r} is not an element index")
+            if not is_index(v):
+                raise ModelFormatError("bad-table", f"{key} entry {v!r} is not an element index")
         return tuple(table)
 
     mul_table = read_table("mul_table", required=True)
@@ -160,14 +159,18 @@ def parse_graph(obj: Any):
     vertex_ids: list[str] = []
     names: list[str] = []
     index: dict[str, int] = {}
+    # each check builds its message only when it fails: these loops run per
+    # vertex and per edge
     for entry in vertices:
         _require(isinstance(entry, dict) and "id" in entry, "schema", "each vertex needs an id")
         vid = _as_id(entry["id"], "vertex")
-        _require(vid not in index, "schema", f"duplicate vertex id {vid!r}")
+        if vid in index:
+            raise ModelFormatError("schema", f"duplicate vertex id {vid!r}")
         index[vid] = len(vertex_ids)
         vertex_ids.append(vid)
         name = entry.get("name", vid)
-        _require(isinstance(name, str), "schema", f"vertex {vid!r}: name must be a string")
+        if not isinstance(name, str):
+            raise ModelFormatError("schema", f"vertex {vid!r}: name must be a string")
         names.append(name)
 
     edge_ids: list[str] = []
@@ -178,18 +181,23 @@ def parse_graph(obj: Any):
     for entry in edges:
         _require(isinstance(entry, dict) and "id" in entry, "schema", "each edge needs an id")
         eid = _as_id(entry["id"], "edge")
-        _require(eid not in seen_edges, "schema", f"duplicate edge id {eid!r}")
+        if eid in seen_edges:
+            raise ModelFormatError("schema", f"duplicate edge id {eid!r}")
         seen_edges.add(eid)
         edge_ids.append(eid)
         for key in ("src", "tgt"):
-            _require(key in entry, "schema", f"edge {eid!r} is missing {key}")
-            endpoint = _as_id(entry[key], f"edge {eid!r} {key}")
+            if key not in entry:
+                raise ModelFormatError("schema", f"edge {eid!r} is missing {key}")
+            endpoint = entry[key]
+            if type(endpoint) is not str:
+                endpoint = _as_id(endpoint, f"edge {eid!r} {key}")
             if endpoint not in index:
                 raise ModelFormatError(
                     "dangling-id", f"edge {eid!r}: {key} {endpoint!r} is not a vertex id"
                 )
             (src if key == "src" else tgt).append(index[endpoint])
-        _require("label" in entry, "schema", f"edge {eid!r} is missing its label")
+        if "label" not in entry:
+            raise ModelFormatError("schema", f"edge {eid!r} is missing its label")
         try:
             labels.append(algebra.parse_label(entry["label"]))
         except KeyError as exc:
@@ -345,8 +353,87 @@ def model_to_json(model: ModelFile) -> dict:
     return obj
 
 
+# JSON text of the scalars payloads hold, by exact type; `json.dumps` writes the rest
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(obj: Any) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for a payload
+    whose dict keys are strings (any other key raises TypeError).
+
+    Any `indent` sends `json` to its pure-Python encoder.  Here strings go
+    through the C string encoder and ints through ``int.__repr__``, and a
+    container of scalars only is joined in one step.  An explicit stack of
+    the other open containers lays out the indentation.
+    """
+    scalars, out = _SCALARS, []
+    indents = ["\n", "\n  "]  # newline and indent at each depth
+    layouts: dict = {}  # (a dict's keys as inserted, depth) -> (sorted keys, item heads, closer)
+    open_ids: set[int] = set()  # containers being written, to refuse cycles
+    # per open container: its remaining (text before, value) pairs, the
+    # text that closes it, and its id
+    frames: list = [(iter((("", obj),)), "", None)]
+    while frames:
+        rest, closer, frame_id = frames[-1]
+        for before, x in rest:
+            encode = scalars.get(type(x))
+            if encode is not None:
+                out.append(before + encode(x))
+                continue
+            if not isinstance(x, (list, tuple, dict)):
+                out.append(before + json.dumps(x))
+                continue
+            if not x:
+                out.append(before + ("{}" if isinstance(x, dict) else "[]"))
+                continue
+            depth = len(frames)
+            if depth == len(indents) - 1:
+                indents.append(indents[-1] + "  ")
+            if isinstance(x, dict):
+                layout = layouts.get((tuple(x), depth))
+                if layout is None:
+                    keys = sorted(x)
+                    sep = "," + indents[depth]
+                    heads = [sep + encode_basestring_ascii(k) + ": " for k in keys]
+                    heads[0] = heads[0][1:]
+                    layout = layouts[tuple(x), depth] = (keys, heads, indents[depth - 1] + "}")
+                keys, heads, end = layout
+                values = list(map(x.__getitem__, keys))
+                start = "{"
+            else:
+                values, heads, start, end = x, None, "[", indents[depth - 1] + "]"
+            kinds = set(map(type, values))
+            if not kinds.issubset(scalars):
+                if id(x) in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(id(x))
+                if heads is None:
+                    heads = [indents[depth]] + ["," + indents[depth]] * (len(values) - 1)
+                out.append(before + start)
+                frames.append((zip(heads, values), end, id(x)))
+                break
+            if len(kinds) == 1:
+                texts = map(scalars[kinds.pop()], values)
+            else:
+                texts = [scalars[type(v)](v) for v in values]
+            if heads is None:
+                out.append(before + start + indents[depth] + ("," + indents[depth]).join(texts) + end)
+            else:
+                out.append(before + start + "".join(map(str.__add__, heads, texts)) + end)
+        else:
+            frames.pop()
+            out.append(closer)
+            open_ids.discard(frame_id)
+    return "".join(out)
+
+
 def emit_model(model: ModelFile) -> str:
-    return json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+    return _dumps(model_to_json(model)) + "\n"
 
 
 def load_model(path) -> ModelFile:

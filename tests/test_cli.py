@@ -1,11 +1,16 @@
 """End-to-end runs of every CLI subcommand."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import monograph as mg
+from monograph import cli
 from monograph.cli import main
 
 from helpers import FIXTURES, GRADED_ALGEBRAS, rand_graded_labels, rand_graph, recursion_limit
@@ -443,3 +448,127 @@ class TestMotifCli:
                 ]
                 total += 1
         assert total > 0
+
+
+_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+
+class TestParserReuse:
+    """`main()` builds its argparse parser once per process."""
+
+    def test_importing_the_cli_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import monograph.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=_ENV, stdout=subprocess.PIPE, text=True, check=True
+        )
+        assert proc.stdout == "0\n"
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        calls = []
+        build = cli.build_parser
+
+        def counting_build():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        try:
+            for argv in (["loops", FIXTURES / "homework.json"], ["homology", FIXTURES / "q4.json", "--json"]):
+                assert run(capsys, *argv)[0] == 0
+            with pytest.raises(SystemExit):
+                main(["frobnicate"])
+            assert run(capsys, "export-dot", FIXTURES / "q4.json")[0] == 0
+        finally:
+            cli._parser.cache_clear()
+        assert calls == [1]
+
+    def test_functions_rebound_after_the_parser_was_built_are_called(self, capsys, monkeypatch, tmp_path):
+        run(capsys, "loops", FIXTURES / "homework.json")  # builds the parser
+        seen = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("compose_open", "tensor_open", "cmd_loops"):
+            spy(name, getattr(cli, name))
+        pair = (FIXTURES / "open_left.json", FIXTURES / "open_right.json")
+        assert run(capsys, "compose", *pair, "--out", tmp_path / "c.json")[0] == 0
+        assert run(capsys, "tensor", *pair, "--out", tmp_path / "t.json")[0] == 0
+        assert run(capsys, "loops", FIXTURES / "homework.json")[0] == 0
+        assert seen == ["compose_open", "tensor_open", "cmd_loops"]
+
+
+def _parity_calls(tmp_path):
+    """(argv, written file or None) for every subcommand, `--json` and not."""
+    hom_path = tmp_path / "hom.json"
+    hom_path.write_text(json.dumps({"source": "SIGN", "target": "SIGN0", "map": ["+", "-"]}))
+    pair = [FIXTURES / "open_left.json", FIXTURES / "open_right.json"]
+    chain = json.dumps({"e1": 1, "e2": 1, "e3": 1, "e4": 1})
+    glue = ["--left", FIXTURES / "glue_red.json", "--right", FIXTURES / "glue_blue.json"]
+    motif = ["--motif", "positive-autoregulation", "--host", FIXTURES / "host.json", "--max-path-len", "3"]
+    calls = [
+        (["validate", *sorted(FIXTURES.glob("*.json"))], None),
+        (["loops", FIXTURES / "homework.json"], None),
+        (["loops", FIXTURES / "r5.json", "--json"], None),
+        (["motif", *motif], None),
+        (["motif", *motif, "--json"], None),
+        (["compose", *pair, "--out", tmp_path / "composed.json"], tmp_path / "composed.json"),
+        (["tensor", "--left", pair[0], "--right", pair[1], "--out", tmp_path / "tensor.json"], tmp_path / "tensor.json"),
+        (["homology", FIXTURES / "q4.json"], None),
+        (["homology", FIXTURES / "r5.json", "--bound", "2", "--json"], None),
+        (["emergence", *glue], None),
+        (["emergence", *glue, "--json"], None),
+        (["change-labels", FIXTURES / "homework.json", "--hom", "collapse", "--out", tmp_path / "c.json"], tmp_path / "c.json"),
+        (["change-labels", FIXTURES / "homework.json", "--hom-file", hom_path, "--out", tmp_path / "h.json"], tmp_path / "h.json"),
+        (["decompose", FIXTURES / "q4.json", "--chain", chain], None),
+        (["decompose", FIXTURES / "q4.json", "--chain", chain, "--json"], None),
+        (["export-dot", FIXTURES / "homework.json"], None),
+        (["export-dot", FIXTURES / "q4.json", "--out", tmp_path / "q4.dot"], tmp_path / "q4.dot"),
+        (["loops"], None),  # usage error: exit 2, usage on stderr
+        (["change-labels", FIXTURES / "homework.json", "--hom", "mystery", "--out", tmp_path / "m.json"], None),
+    ]
+    return [([str(a) for a in argv], written) for argv, written in calls]
+
+
+def _in_process(capsys, argv, written):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, written.read_text() if written else None
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, tmp_path):
+    calls = _parity_calls(tmp_path)
+    expected = []
+    for argv, written in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "monograph.cli", *argv],
+            env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        expected.append((proc.returncode, proc.stdout, proc.stderr, written.read_text() if written else None))
+    assert [code for code, *_ in expected].count(2) == 1 and expected[-2][2].startswith("usage: monograph loops")
+    # twice through, the second time backwards: the usage error is then
+    # followed by a good call, and every call by another subcommand or flag
+    order = list(range(len(calls)))
+    for i in order + order[::-1]:
+        argv, written = calls[i]
+        if written:
+            written.unlink()
+        assert _in_process(capsys, argv, written) == expected[i], argv

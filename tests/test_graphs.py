@@ -1,5 +1,6 @@
 """Graph morphisms, pullbacks, label changes, and the semiautomaton bridge."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -303,3 +304,19 @@ class TestComponents:
         for _ in range(100):
             g = rand_graph(rng, 12, 14)
             assert [sorted(b) for b in mg.undirected_components(g)] == bfs_components(g)
+
+
+def test_semiautomaton_table_and_commutativity_against_composition():
+    rng = random.Random(11)
+    for _ in range(40):
+        n_states, n_inputs = rng.randint(1, 3), rng.randint(1, 3)
+        action = tuple(tuple(rng.randrange(n_states) for _ in range(n_states)) for _ in range(n_inputs))
+        sa = mg.Semiautomaton(tuple(map(str, range(n_states))), tuple(map(str, range(n_inputs))), action)
+        a = mg.from_semiautomaton(sa).algebra
+        maps = [tuple(int(v) for v in name.strip("[]").split(",")) for name in a.elements]
+        for x, y in itertools.product(range(a.size), repeat=2):
+            # x * y applies y first
+            assert maps[a.mul(x, y)] == tuple(maps[x][maps[y][s]] for s in range(n_states))
+        commutes = all(a.mul(x, y) == a.mul(y, x) for x in range(a.size) for y in range(a.size))
+        assert a.flags.commutative == commutes
+        assert mg.validate_algebra(a).ok

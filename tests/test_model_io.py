@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monograph as mg
-from monograph.model_io import ModelFormatError
+from monograph.model_io import ModelFormatError, _dumps, model_to_json
 
 from helpers import FIXTURES, SIGN
 
@@ -239,3 +241,142 @@ class TestDot:
         lines = [line for line in dot.splitlines() if "->" in line]
         assert lines == ['  v0 -> v1 [label="1"];', '  v0 -> v1 [label="1"];',
                          '  v1 -> v0 [label="1"];', '  v1 -> v0 [label="1"];']
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "é ☃ 𝄞", "a\nb\tc\r"])
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """`model_io._dumps`, the one emitter of the CLI and `emit_model`."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_indented_sorted_json_dumps(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "value",
+        [[], {}, (), [[]], {"a": {}}, ([], ()), {"b": [1, "x", None], "a": (True, 2.5)}],
+        ids=repr,
+    )
+    def test_empty_containers_and_tuples(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_refusals(self):
+        loop: list = []
+        loop.append([loop])
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            _dumps(loop)
+        with pytest.raises(TypeError):
+            _dumps({1: 0})  # payload keys are strings
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dumps([object()])
+
+    @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
+    def test_emit_model_is_indented_sorted_json(self, path):
+        model = mg.load_model(path)
+        assert mg.emit_model(model) == json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+
+
+def _graph_file(vertices, edges):
+    return {"format": 1, "graph": {"algebra": "SIGN", "vertices": vertices, "edges": edges}}
+
+
+_V = [{"id": "a"}, {"id": "b"}]
+_E = {"id": "e", "src": "a", "tgt": "b", "label": "+"}
+
+
+def _table_file(**tables):
+    return {"format": 1, "algebra": dict({"kind": "finite-table", "elements": ["1", "x"], "unit": 0}, **tables)}
+
+
+# each check that builds its message only on failure, with the exact text
+BROKEN_MODELS = {
+    "vertex id type": (
+        _graph_file([{"id": 1.5}], []),
+        ("schema", "[schema] vertex: ids must be strings or integers, got 1.5"),
+    ),
+    "vertex id bool": (
+        _graph_file([{"id": True}], []),
+        ("schema", "[schema] vertex: ids must be strings or integers, got True"),
+    ),
+    "edge id type": (
+        _graph_file(_V, [dict(_E, id=[1])]),
+        ("schema", "[schema] edge: ids must be strings or integers, got [1]"),
+    ),
+    "src id type": (
+        _graph_file(_V, [dict(_E, src=None)]),
+        ("schema", "[schema] edge 'e' src: ids must be strings or integers, got None"),
+    ),
+    "tgt id type": (
+        _graph_file(_V, [dict(_E, tgt={"x": 1})]),
+        ("schema", "[schema] edge 'e' tgt: ids must be strings or integers, got {'x': 1}"),
+    ),
+    "integer src not a vertex": (
+        _graph_file(_V, [dict(_E, src=7)]),
+        ("dangling-id", "[dangling-id] edge 'e': src '7' is not a vertex id"),
+    ),
+    "duplicate vertex": (
+        _graph_file([{"id": "a"}, {"id": "a"}], []),
+        ("schema", "[schema] duplicate vertex id 'a'"),
+    ),
+    "duplicate vertex across id types": (
+        _graph_file([{"id": 1}, {"id": "1"}], []),
+        ("schema", "[schema] duplicate vertex id '1'"),
+    ),
+    "duplicate edge": (
+        _graph_file(_V, [_E, dict(_E)]),
+        ("schema", "[schema] duplicate edge id 'e'"),
+    ),
+    "name type": (
+        _graph_file([{"id": "a", "name": 3}], []),
+        ("schema", "[schema] vertex 'a': name must be a string"),
+    ),
+    "missing src": (
+        _graph_file(_V, [{"id": "e", "tgt": "b", "label": "+"}]),
+        ("schema", "[schema] edge 'e' is missing src"),
+    ),
+    "missing tgt": (
+        _graph_file(_V, [{"id": 4, "src": "a", "label": "+"}]),
+        ("schema", "[schema] edge '4' is missing tgt"),
+    ),
+    "missing label": (
+        _graph_file(_V, [{"id": "e", "src": "a", "tgt": "b"}]),
+        ("schema", "[schema] edge 'e' is missing its label"),
+    ),
+    "table entry type": (
+        _table_file(mul_table=[0, 1, 1, "x"]),
+        ("bad-table", "[bad-table] mul_table entry 'x' is not an element index"),
+    ),
+    "table entry range": (
+        _table_file(mul_table=[0, 1, 1, 2]),
+        ("bad-table", "[bad-table] mul_table entry 2 is not an element index"),
+    ),
+    "add table entry bool": (
+        _table_file(mul_table=[0, 1, 1, 1], add_table=[0, 1, True, 1], zero=0),
+        ("bad-table", "[bad-table] add_table entry True is not an element index"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_MODELS))
+def test_parse_messages_are_pinned(name):
+    obj, expected = BROKEN_MODELS[name]
+    with pytest.raises(ModelFormatError) as info:
+        mg.parse_model(json.dumps(obj))
+    assert (info.value.code, str(info.value)) == expected

@@ -2,14 +2,17 @@
 
 import dataclasses
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
+from monograph import cli
 
 from helpers import (
+    FIXTURES,
     GRADED_ALGEBRAS,
     SIGN,
     homework,
@@ -243,3 +246,53 @@ class TestWork:
         calls[0] = 0
         oracle_find_motifs(motif, h, max_len)
         assert calls[0] > n * walks
+
+
+def _walks_from_each_vertex(g: mg.Graph, max_len: int) -> list[int]:
+    """Walks of at most `max_len` edges from each vertex, the empty one included."""
+    totals = []
+    for u in range(g.n_vertices):
+        ending, total = {u: 1}, 1
+        for _ in range(max_len):
+            step: dict[int, int] = {}
+            for v, count in ending.items():
+                for e in g.out_adjacency[v]:
+                    step[g.edge_tgt[e]] = step.get(g.edge_tgt[e], 0) + count
+            ending, total = step, total + sum(step.values())
+        totals.append(total)
+    return totals
+
+
+class TestWalkGuard:
+    """`find_motifs(..., guard)` caps the walks tabled in one call."""
+
+    def test_every_guard_trips_at_the_walk_past_it(self):
+        h, motif = host(), mg.builtin_motif("positive-autoregulation")
+        # this motif tables the walks from every host vertex, in vertex order
+        per_vertex = _walks_from_each_vertex(h.graph, 3)
+        unguarded = keys(mg.find_motifs(motif, h, 3)[0])
+        total = sum(per_vertex)
+        for guard in range(total + 1):
+            if guard == total:
+                assert keys(mg.find_motifs(motif, h, 3, guard=guard)[0]) == unguarded
+                continue
+            tripped = next(v for v in range(len(per_vertex)) if sum(per_vertex[: v + 1]) > guard)
+            with pytest.raises(ValueError) as info:
+                mg.find_motifs(motif, h, 3, guard=guard)
+            assert str(info.value).startswith(f"motif walks {guard + 1} from host vertex {tripped} > guard ")
+
+    def test_message_names_the_numbers(self):
+        with pytest.raises(ValueError) as info:
+            mg.find_motifs(mg.builtin_motif("positive-autoregulation"), host(), 3, guard=5)
+        assert str(info.value) == "motif walks 6 from host vertex 0 > guard 5"
+        with pytest.raises(ValueError, match=r"^motif walks 1 from host vertex 0 > guard 0$"):
+            mg.find_motifs(mg.builtin_motif("positive-stimulation"), host(), 1, guard=0)
+
+    def test_cli_ends_in_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "find_motifs", partial(mg.find_motifs, guard=5))
+        code = cli.main(
+            ["motif", "--motif", "positive-autoregulation", "--host", str(FIXTURES / "host.json"),
+             "--max-path-len", "3", "--json"]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", "error: motif walks 6 from host vertex 0 > guard 5\n")
