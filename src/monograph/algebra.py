@@ -283,12 +283,6 @@ def _tabulate(n: int, op: Callable[[int, int], int]) -> tuple[int, ...]:
     return tuple(op(a, b) for a in range(n) for b in range(n))
 
 
-def _noncommuting(op: Callable[[Any, Any], Any], pairs):
-    """The pairs ``(x, y)`` with x < y and ``op(x, y) != op(y, x)``: each
-    unordered pair is judged once."""
-    return ((x, y) for x, y in pairs if x < y and op(x, y) != op(y, x))
-
-
 def _flatten(table) -> tuple[int, ...]:
     if table and isinstance(table[0], (list, tuple)):
         return tuple(itertools.chain.from_iterable(table))
@@ -412,8 +406,11 @@ def validate_algebra(algebra: LabelAlgebra, rng_seed: int = 0, samples: int = 50
                 )
 
     def commutativity(op, label: str, sign: str) -> None:
-        for x, y in _noncommuting(op, cases(2)):
-            report.add(AXIOM, "commutativity", f"{label}: {t(x)}{sign}{t(y)} != {t(y)}{sign}{t(x)}", (x, y))
+        for x, y in cases(2):
+            if x < y and op(x, y) != op(y, x):  # each unordered pair once
+                report.add(
+                    AXIOM, "commutativity", f"{label}: {t(x)}{sign}{t(y)} != {t(y)}{sign}{t(x)}", (x, y)
+                )
 
     mul = algebra.mul
     monoid(mul, algebra.one, "mul")

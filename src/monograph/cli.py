@@ -27,7 +27,6 @@ from .homology import decompose_cycle, feedback, find_relations, h0, loop_polari
 from .model_io import (
     ModelFile,
     ModelFormatError,
-    _dumps,
     emit_model,
     export_dot,
     load_model,
@@ -73,7 +72,7 @@ def _open_of(model: ModelFile, path):
 
 
 def _emit_json(obj) -> None:
-    print(_dumps(obj))
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def cmd_validate(args) -> int:

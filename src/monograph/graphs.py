@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, _noncommuting, _tabulate, apply_hom
+from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, _tabulate, apply_hom
 from .validation import AXIOM, STRUCTURE, ValidationReport
 
 
@@ -227,8 +227,7 @@ def from_semiautomaton(sa: Semiautomaton, limit: int = TRANSFORMATION_MONOID_LIM
 
     size = len(elements)
     table = _tabulate(size, lambda x, y: index[tuple(elements[x][w] for w in elements[y])])
-    pairs = itertools.product(range(size), repeat=2)
-    commutative = next(_noncommuting(lambda x, y: table[x * size + y], pairs), None) is None
+    commutative = all(table[a * size + b] == table[b * size + a] for a in range(size) for b in range(a))
     algebra = TableAlgebra(
         tuple("[" + ",".join(map(str, t)) + "]" for t in elements),
         table,

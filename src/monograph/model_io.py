@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .algebra import (
@@ -353,87 +352,8 @@ def model_to_json(model: ModelFile) -> dict:
     return obj
 
 
-# JSON text of the scalars payloads hold, by exact type; `json.dumps` writes the rest
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
-
-
-def _dumps(obj: Any) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for a payload
-    whose dict keys are strings (any other key raises TypeError).
-
-    Any `indent` sends `json` to its pure-Python encoder.  Here strings go
-    through the C string encoder and ints through ``int.__repr__``, and a
-    container of scalars only is joined in one step.  An explicit stack of
-    the other open containers lays out the indentation.
-    """
-    scalars, out = _SCALARS, []
-    indents = ["\n", "\n  "]  # newline and indent at each depth
-    layouts: dict = {}  # (a dict's keys as inserted, depth) -> (sorted keys, item heads, closer)
-    open_ids: set[int] = set()  # containers being written, to refuse cycles
-    # per open container: its remaining (text before, value) pairs, the
-    # text that closes it, and its id
-    frames: list = [(iter((("", obj),)), "", None)]
-    while frames:
-        rest, closer, frame_id = frames[-1]
-        for before, x in rest:
-            encode = scalars.get(type(x))
-            if encode is not None:
-                out.append(before + encode(x))
-                continue
-            if not isinstance(x, (list, tuple, dict)):
-                out.append(before + json.dumps(x))
-                continue
-            if not x:
-                out.append(before + ("{}" if isinstance(x, dict) else "[]"))
-                continue
-            depth = len(frames)
-            if depth == len(indents) - 1:
-                indents.append(indents[-1] + "  ")
-            if isinstance(x, dict):
-                layout = layouts.get((tuple(x), depth))
-                if layout is None:
-                    keys = sorted(x)
-                    sep = "," + indents[depth]
-                    heads = [sep + encode_basestring_ascii(k) + ": " for k in keys]
-                    heads[0] = heads[0][1:]
-                    layout = layouts[tuple(x), depth] = (keys, heads, indents[depth - 1] + "}")
-                keys, heads, end = layout
-                values = list(map(x.__getitem__, keys))
-                start = "{"
-            else:
-                values, heads, start, end = x, None, "[", indents[depth - 1] + "]"
-            kinds = set(map(type, values))
-            if not kinds.issubset(scalars):
-                if id(x) in open_ids:
-                    raise ValueError("Circular reference detected")
-                open_ids.add(id(x))
-                if heads is None:
-                    heads = [indents[depth]] + ["," + indents[depth]] * (len(values) - 1)
-                out.append(before + start)
-                frames.append((zip(heads, values), end, id(x)))
-                break
-            if len(kinds) == 1:
-                texts = map(scalars[kinds.pop()], values)
-            else:
-                texts = [scalars[type(v)](v) for v in values]
-            if heads is None:
-                out.append(before + start + indents[depth] + ("," + indents[depth]).join(texts) + end)
-            else:
-                out.append(before + start + "".join(map(str.__add__, heads, texts)) + end)
-        else:
-            frames.pop()
-            out.append(closer)
-            open_ids.discard(frame_id)
-    return "".join(out)
-
-
 def emit_model(model: ModelFile) -> str:
-    return _dumps(model_to_json(model)) + "\n"
+    return json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
 
 
 def load_model(path) -> ModelFile:

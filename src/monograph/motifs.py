@@ -24,10 +24,13 @@ from .homology import _over_guard
 from .paths import KleisliMorphism, Path
 
 DEFAULT_MAX_PATH_LEN = 6
+# the most walks `find_motifs` tables from one host vertex: a dense host at
+# a long path limit has exponentially many, and each is held in memory
+_WALK_GUARD = 10**6
 
 
 def _walk_tree(
-    g: Graph, start: int, max_len: int, guard: float = math.inf, tabled: int = 0
+    g: Graph, start: int, max_len: int, guard: float = math.inf
 ) -> tuple[list[int], list[int], list[int]]:
     """Every walk of at most `max_len` edges from `start`, as a prefix tree
     in lexicographic edge-id order, prefixes first.
@@ -36,13 +39,12 @@ def _walk_tree(
     and walk i > 0 is walk ``parents[i]`` followed by edge ``edges[i]``,
     ending at ``ends[i]``.  An explicit stack keeps the depth of recursion
     constant, and the tree costs O(walks) however long they are.  Raises
-    ValueError as soon as `tabled` walks plus this tree's exceed `guard`.
+    ValueError as soon as the tree holds more than `guard` walks.
     """
     out_adjacency, edge_tgt = g.out_adjacency, g.edge_tgt
-    room = guard - tabled
     parents, edges, ends = [0], [-1], [start]
     stack = [(0, e, 1) for e in reversed(out_adjacency[start])] if max_len > 0 else []
-    while stack and len(parents) <= room:
+    while stack and len(parents) <= guard:
         parent, e, depth = stack.pop()
         walk = len(parents)
         at = edge_tgt[e]
@@ -51,8 +53,8 @@ def _walk_tree(
         ends.append(at)
         if depth < max_len:
             stack.extend([(walk, f, depth + 1) for f in reversed(out_adjacency[at])])
-    if len(parents) > room:
-        raise ValueError(_over_guard(f"motif walks {tabled + len(parents)} from host vertex {start}", guard))
+    if len(parents) > guard:
+        raise ValueError(_over_guard(f"motif walks {len(parents)} from host vertex {start}", guard))
     return parents, edges, ends
 
 
@@ -84,10 +86,10 @@ class _PathTable:
 
     __slots__ = ("start", "parents", "edges", "by_end_grade", "_ends", "_paths")
 
-    def __init__(self, host: LabeledGraph, start: int, max_len: int, guard: int, tabled: int):
+    def __init__(self, host: LabeledGraph, start: int, max_len: int):
         mul, labels = host.algebra.mul, host.labels
         self.start = start
-        self.parents, self.edges, ends = _walk_tree(host.graph, start, max_len, guard, tabled)
+        self.parents, self.edges, ends = _walk_tree(host.graph, start, max_len, _WALK_GUARD)
         grades = [host.algebra.one]
         for parent, e in itertools.islice(zip(self.parents, self.edges), 1, None):
             grades.append(mul(labels[e], grades[parent]))
@@ -116,14 +118,14 @@ def find_motifs(
     host: LabeledGraph,
     max_path_len: int = DEFAULT_MAX_PATH_LEN,
     max_results: int = 10000,
-    guard: int = 10**6,
 ):
     """All occurrences of `motif` in `host` with edge images of bounded length.
 
     Returns ``(matches, truncated)``.  Matches come in a deterministic
     lexicographic order: by vertex assignment first, then by the edge-id
-    sequences of the chosen paths.  Raises ValueError once the walks
-    tabled in the call, from every host vertex searched, exceed `guard`.
+    sequences of the chosen paths.  Raises ValueError when a host vertex
+    it searches from has more than `_WALK_GUARD` (10^6) walks within the
+    limit.
     """
     if motif.algebra != host.algebra:
         raise ValueError("motif and host must share one label algebra")
@@ -142,17 +144,14 @@ def find_motifs(
         checks[max(m_src[e], m_tgt[e])].append(e)
     narrow = [next((e for e in checks[i] if m_tgt[e] == i != m_src[e]), None) for i in range(k)]
     tables: dict[int, _PathTable] = {}
-    tabled = 0  # walks in every table built, dropped ones included
     # when every motif edge leaves vertex 0, only the table of vertex 0's
     # host vertex is ever read, so the others are dropped as it moves on
     one_source = all(s == 0 for s in m_src)
 
     def table_at(u: int) -> _PathTable:
-        nonlocal tabled
         table = tables.get(u)
         if table is None:
-            table = tables[u] = _PathTable(host, u, max_path_len, guard, tabled)
-            tabled += len(table.parents)
+            table = tables[u] = _PathTable(host, u, max_path_len)
         return table
 
     def candidates(i: int):

@@ -3,11 +3,9 @@
 import json
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import monograph as mg
-from monograph.model_io import ModelFormatError, _dumps, model_to_json
+from monograph.model_io import ModelFormatError
 
 from helpers import FIXTURES, SIGN
 
@@ -241,56 +239,6 @@ class TestDot:
         lines = [line for line in dot.splitlines() if "->" in line]
         assert lines == ['  v0 -> v1 [label="1"];', '  v0 -> v1 [label="1"];',
                          '  v1 -> v0 [label="1"];', '  v1 -> v0 [label="1"];']
-
-
-JSON_SCALARS = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | st.floats()
-    | st.text()
-    | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "é ☃ 𝄞", "a\nb\tc\r"])
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=40,
-)
-
-
-class TestJsonText:
-    """`model_io._dumps`, the one emitter of the CLI and `emit_model`."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(JSON_VALUES)
-    def test_equals_indented_sorted_json_dumps(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
-
-    @pytest.mark.parametrize(
-        "value",
-        [[], {}, (), [[]], {"a": {}}, ([], ()), {"b": [1, "x", None], "a": (True, 2.5)}],
-        ids=repr,
-    )
-    def test_empty_containers_and_tuples(self, value):
-        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
-
-    def test_refusals(self):
-        loop: list = []
-        loop.append([loop])
-        with pytest.raises(ValueError, match="Circular reference detected"):
-            _dumps(loop)
-        with pytest.raises(TypeError):
-            _dumps({1: 0})  # payload keys are strings
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            _dumps([object()])
-
-    @pytest.mark.parametrize("path", ALL_FIXTURES, ids=lambda p: p.name)
-    def test_emit_model_is_indented_sorted_json(self, path):
-        model = mg.load_model(path)
-        assert mg.emit_model(model) == json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
 
 
 def _graph_file(vertices, edges):

@@ -2,14 +2,13 @@
 
 import dataclasses
 import random
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
-from monograph import cli
+from monograph import cli, motifs
 
 from helpers import (
     FIXTURES,
@@ -264,32 +263,52 @@ def _walks_from_each_vertex(g: mg.Graph, max_len: int) -> list[int]:
 
 
 class TestWalkGuard:
-    """`find_motifs(..., guard)` caps the walks tabled in one call."""
+    """`find_motifs` refuses a host vertex with more than `_WALK_GUARD` walks."""
 
-    def test_every_guard_trips_at_the_walk_past_it(self):
+    def test_the_guard_bounds_each_host_vertex_not_the_call(self, monkeypatch):
         h, motif = host(), mg.builtin_motif("positive-autoregulation")
         # this motif tables the walks from every host vertex, in vertex order
         per_vertex = _walks_from_each_vertex(h.graph, 3)
         unguarded = keys(mg.find_motifs(motif, h, 3)[0])
-        total = sum(per_vertex)
-        for guard in range(total + 1):
-            if guard == total:
-                assert keys(mg.find_motifs(motif, h, 3, guard=guard)[0]) == unguarded
+        assert sum(per_vertex) > max(per_vertex)
+        for guard in range(max(per_vertex) + 1):
+            monkeypatch.setattr(motifs, "_WALK_GUARD", guard)
+            if guard == max(per_vertex):
+                # the call tables more walks than the guard, none of them
+                # from one vertex
+                assert keys(mg.find_motifs(motif, h, 3)[0]) == unguarded
                 continue
-            tripped = next(v for v in range(len(per_vertex)) if sum(per_vertex[: v + 1]) > guard)
+            tripped = next(v for v, walks in enumerate(per_vertex) if walks > guard)
             with pytest.raises(ValueError) as info:
-                mg.find_motifs(motif, h, 3, guard=guard)
+                mg.find_motifs(motif, h, 3)
             assert str(info.value).startswith(f"motif walks {guard + 1} from host vertex {tripped} > guard ")
 
-    def test_message_names_the_numbers(self):
+    def test_default_and_message(self, monkeypatch):
+        assert motifs._WALK_GUARD == 10**6
+        monkeypatch.setattr(motifs, "_WALK_GUARD", 5)
         with pytest.raises(ValueError) as info:
-            mg.find_motifs(mg.builtin_motif("positive-autoregulation"), host(), 3, guard=5)
+            mg.find_motifs(mg.builtin_motif("positive-autoregulation"), host(), 3)
         assert str(info.value) == "motif walks 6 from host vertex 0 > guard 5"
+        monkeypatch.setattr(motifs, "_WALK_GUARD", 0)
         with pytest.raises(ValueError, match=r"^motif walks 1 from host vertex 0 > guard 0$"):
-            mg.find_motifs(mg.builtin_motif("positive-stimulation"), host(), 1, guard=0)
+            mg.find_motifs(mg.builtin_motif("positive-stimulation"), host(), 1)
+
+    def test_a_dense_host_trips_the_default_guard(self):
+        # every vertex of the complete 4-vertex digraph with self-loops has
+        # (4^11 - 1) / 3 walks of at most 10 edges
+        edges = [(i, j) for i in range(4) for j in range(4)]
+        h = mg.labeled_graph([f"v{i}" for i in range(4)], edges, SIGN, ["+"] * len(edges))
+        with pytest.raises(ValueError, match=r"^motif walks 1000001 from host vertex 0 > guard 10\^6$"):
+            mg.find_motifs(mg.builtin_motif("positive-autoregulation"), h, 10)
+
+    def test_paths_between_is_not_guarded(self, monkeypatch):
+        h = host()
+        expected = mg.paths_between(h, 0, 1, 3)
+        monkeypatch.setattr(motifs, "_WALK_GUARD", 0)
+        assert mg.paths_between(h, 0, 1, 3) == expected
 
     def test_cli_ends_in_an_error_line(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "find_motifs", partial(mg.find_motifs, guard=5))
+        monkeypatch.setattr(motifs, "_WALK_GUARD", 5)
         code = cli.main(
             ["motif", "--motif", "positive-autoregulation", "--host", str(FIXTURES / "host.json"),
              "--max-path-len", "3", "--json"]
