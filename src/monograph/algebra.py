@@ -23,6 +23,7 @@ algebra exposes the same interface:
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -371,6 +372,56 @@ def _witnesses(algebra: LabelAlgebra, arity: int, rng_seed: int, samples: int):
     return zip(*(draws[i:] for i in range(arity)))
 
 
+class _Rows:
+    """An operation a row at a time over the values `zs` of its last argument,
+    each result a tuple: ``row`` is op(a, z), ``col`` op(z, c), ``then``
+    op(a, inner(b, z)) and ``sum`` op(inner(r, z), inner(s, z))."""
+
+    def __init__(self, op: Callable[[Element, Element], Element]):
+        self.op = op
+
+    def row(self, a, zs):
+        return tuple(map(self.op, itertools.repeat(a), zs))
+
+    def col(self, zs, c):
+        return tuple(map(self.op, zs, itertools.repeat(c)))
+
+    def then(self, a, inner, b, zs):
+        return tuple(map(self.op, itertools.repeat(a), inner.row(b, zs)))
+
+    def sum(self, inner, r, s, zs):
+        return tuple(map(self.op, inner.row(r, zs), inner.row(s, zs)))
+
+
+class _TableRows(_Rows):
+    """`_Rows` of a square row-major table over every element, looked up in C:
+    in its rows and columns, or by item getters that pick by a row (which
+    needs two elements: over one, an item getter returns a bare value)."""
+
+    def __init__(self, table: tuple):
+        n = math.isqrt(len(table))
+        self.rows = tuple(tuple(table[a * n : (a + 1) * n]) for a in range(n))
+        self.cols = tuple(tuple(table[c::n]) for c in range(n))
+        self.picks = tuple(operator.itemgetter(*row) for row in self.rows)
+
+    def row(self, a, zs):
+        return self.rows[a]
+
+    def col(self, zs, c):
+        return self.cols[c]
+
+    def then(self, a, inner, b, zs):
+        return inner.picks[b](self.rows[a])
+
+    def sum(self, inner, r, s, zs):
+        return tuple(map(operator.getitem, inner.picks[r](self.rows), inner.rows[s]))
+
+
+def _rows(op: Callable[[Element, Element], Element], table: Optional[tuple]) -> _Rows:
+    """`op` a row at a time, by lookups in its `table` if it has one of two elements or more."""
+    return _TableRows(table) if table is not None and len(table) > 1 else _Rows(op)
+
+
 def validate_algebra(algebra: LabelAlgebra, rng_seed: int = 0, samples: int = 50) -> ValidationReport:
     """Check every declared axiom; structural defects are reported separately.
 
@@ -379,66 +430,88 @@ def validate_algebra(algebra: LabelAlgebra, rng_seed: int = 0, samples: int = 50
     and associativity of mul, its commutativity if declared; for a rig the
     same for add (commutativity always), both distributive laws per triple
     and absorption; then cancellativity if declared.
+
+    Each law is checked a row at a time: its leading arguments are fixed and
+    both sides are computed over every value of the last argument (each
+    element of a table, the next draw of a builtin's seeded sample).  Only a
+    row whose sides differ is scanned, so witnesses come in lexicographic order.
     """
     if isinstance(algebra, TableAlgebra):
         report = _table_structure(algebra)
         if not report.ok:
             return report  # axiom checks need a well-formed table
+        every = tuple(range(algebra.size))
+
+        def cases(k: int):
+            return zip(_witnesses(algebra, k, rng_seed, samples), itertools.repeat(every))
+
+        tables = algebra.mul_table, algebra.add_table
     else:
         report = ValidationReport(subject=f"builtin algebra {algebra.builtin_id}")
 
-    def cases(arity: int):
-        return _witnesses(algebra, arity, rng_seed, samples)
+        def cases(k: int):
+            return ((w[:-1], w[-1:]) for w in _witnesses(algebra, k + 1, rng_seed, samples))
 
+        tables = None, None
     t = algebra.label_text
 
-    def monoid(op, unit, label: str) -> None:
-        for (x,) in cases(1):
-            if op(unit, x) != x or op(x, unit) != x:
-                report.add(AXIOM, "unit", f"{label}: {t(unit)} is not a unit at {t(x)}", (x,))
-        for x, y, z in cases(3):
-            if op(op(x, y), z) != op(x, op(y, z)):
-                report.add(
-                    AXIOM,
-                    "associativity",
-                    f"{label}: ({t(x)}*{t(y)})*{t(z)} != {t(x)}*({t(y)}*{t(z)})",
-                    (x, y, z),
-                )
+    def check(k: int, sides, *clauses) -> None:
+        """For every k leading arguments compare the rows ``sides(*prefix, zs)``
+        gives for each clause ``(code, message)`` of a law; where they differ,
+        report each witness whose message is not empty."""
+        for prefix, zs in cases(k):
+            lhs, rhs = sides(*prefix, zs)
+            if lhs != rhs:
+                for i, z in enumerate(zs):
+                    for l, r, (code, message) in zip(lhs, rhs, clauses):
+                        if l[i] != r[i] and (text := message(*prefix, z)):
+                            report.add(AXIOM, code, text, (*prefix, z))
 
-    def commutativity(op, label: str, sign: str) -> None:
-        for x, y in cases(2):
-            if x < y and op(x, y) != op(y, x):  # each unordered pair once
-                report.add(
-                    AXIOM, "commutativity", f"{label}: {t(x)}{sign}{t(y)} != {t(y)}{sign}{t(x)}", (x, y)
-                )
+    def monoid(op, P: _Rows, unit, label: str) -> None:
+        check(
+            0,
+            lambda xs: ((tuple(zip(P.row(unit, xs), P.col(xs, unit))),), (tuple(zip(xs, xs)),)),
+            ("unit", lambda x: f"{label}: {t(unit)} is not a unit at {t(x)}"),
+        )
+        check(
+            2,
+            lambda x, y, zs: ((P.row(op(x, y), zs),), (P.then(x, P, y, zs),)),
+            ("associativity", lambda x, y, z: f"{label}: ({t(x)}*{t(y)})*{t(z)} != {t(x)}*({t(y)}*{t(z)})"),
+        )
+
+    def commutativity(P: _Rows, label: str, sign: str) -> None:
+        check(
+            1,
+            lambda x, ys: ((P.row(x, ys),), (P.col(ys, x),)),
+            # each unordered pair once
+            ("commutativity", lambda x, y: x < y and f"{label}: {t(x)}{sign}{t(y)} != {t(y)}{sign}{t(x)}"),
+        )
 
     mul = algebra.mul
-    monoid(mul, algebra.one, "mul")
+    M = _rows(mul, tables[0])
+    monoid(mul, M, algebra.one, "mul")
     if algebra.flags.commutative:
-        commutativity(mul, "mul", "*")
+        commutativity(M, "mul", "*")
     if algebra.is_rig:
         add, zero = algebra.add, algebra.zero
-        monoid(add, zero, "add")
+        A = _rows(add, tables[1])
+        monoid(add, A, zero, "add")
         # rig addition is commutative by definition, whatever the flags say
-        commutativity(add, "add", "+")
-        for r, s, u in cases(3):
-            if mul(r, add(s, u)) != add(mul(r, s), mul(r, u)):
-                report.add(
-                    AXIOM,
-                    "distributivity-left",
-                    f"{t(r)}*({t(s)}+{t(u)}) != {t(r)}*{t(s)} + {t(r)}*{t(u)}",
-                    (r, s, u),
-                )
-            if mul(add(r, s), u) != add(mul(r, u), mul(s, u)):
-                report.add(
-                    AXIOM,
-                    "distributivity-right",
-                    f"({t(r)}+{t(s)})*{t(u)} != {t(r)}*{t(u)} + {t(s)}*{t(u)}",
-                    (r, s, u),
-                )
-        for (x,) in cases(1):
-            if mul(zero, x) != zero or mul(x, zero) != zero:
-                report.add(AXIOM, "absorption", f"0*{t(x)} or {t(x)}*0 is not 0", (x,))
+        commutativity(A, "add", "+")
+        check(
+            2,
+            lambda r, s, us: (
+                (M.then(r, A, s, us), M.row(add(r, s), us)),
+                (A.then(mul(r, s), M, r, us), A.sum(M, r, s, us)),
+            ),
+            ("distributivity-left", lambda r, s, u: f"{t(r)}*({t(s)}+{t(u)}) != {t(r)}*{t(s)} + {t(r)}*{t(u)}"),
+            ("distributivity-right", lambda r, s, u: f"({t(r)}+{t(s)})*{t(u)} != {t(r)}*{t(u)} + {t(s)}*{t(u)}"),
+        )
+        check(
+            0,
+            lambda xs: ((tuple(zip(M.row(zero, xs), M.col(xs, zero))),), (((zero, zero),) * len(xs),)),
+            ("absorption", lambda x: f"0*{t(x)} or {t(x)}*0 is not 0"),
+        )
 
     if algebra.flags.cancellative and _coefficient_view(algebra) is None:
         report.add(AXIOM, "cancellativity", "declared cancellative, but neither a rig nor commutative")
@@ -473,7 +546,7 @@ def _table_structure(a: TableAlgebra) -> ValidationReport:
                 "non-square",
                 f"{label} table has {len(table)} entries, expected {n * n}",
             )
-        elif any(not isinstance(v, int) or not (0 <= v < n) for v in table):
+        elif not all(map(isinstance, table, itertools.repeat(int))) or min(table) < 0 or max(table) >= n:
             bad = next(v for v in table if not isinstance(v, int) or not (0 <= v < n))
             report.add(STRUCTURE, "out-of-range", f"{label} table entry {bad!r} is not an element index")
     if not isinstance(a.unit, int) or not (0 <= a.unit < n):
@@ -489,21 +562,25 @@ def is_cancellative(algebra: LabelAlgebra):
     """Decide c + e = d + e  =>  c = d for the coefficient view.
 
     Returns ``(True, None)`` or ``(False, (c, d, e))`` with a witness triple.
-    Finite tables are searched exhaustively; builtins have known answers.
-    Raises ValueError when the algebra has no coefficient view.
+    Finite tables are searched exhaustively, a column of the table at a
+    time; builtins have known answers.  Raises ValueError when the algebra
+    has no coefficient view.
     """
-    add = algebra.add  # raises unless there is a coefficient view
+    if _coefficient_view(algebra) is None:
+        algebra._no_view()
     if isinstance(algebra, BuiltinAlgebra):
         witness = algebra.cancellation_witness
         return (witness is None, witness)
     n = algebra.size
+    table = algebra.add_table if algebra.is_rig else algebra.mul_table  # the view's addition
     for e in range(n):
-        seen: dict[int, int] = {}
-        for c in range(n):
-            value = add(c, e)
-            if value in seen and seen[value] != c:
-                return False, (seen[value], c, e)
-            seen.setdefault(value, c)
+        column = table[e::n]  # c + e for each c
+        if len(set(column)) < n:
+            first: dict[int, int] = {}
+            for d, value in enumerate(column):
+                c = first.setdefault(value, d)
+                if c != d:
+                    return False, (c, d, e)
     return True, None
 
 

@@ -506,29 +506,30 @@ def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None, guard: int
     closing: list[list[int]] = [[] for _ in order]  # the vertices whose last edge is order[i]
     for v, i in last.items():
         closing[i].append(v)
-    coeff = [zero] * g.n_edges
+    # a found cycle is stored as one integer, its coefficients as digits, edge 0 first
+    weight = [len(values) ** (g.n_edges - 1 - e) for e in range(g.n_edges)]
     out_sum, in_sum = [zero] * g.n_vertices, [zero] * g.n_vertices
     found, nodes = [], 0
-    frames = [(iter(values), zero, zero)]  # untried values, out-sum at src and in-sum at tgt before
+    frames = [(iter(values), zero, zero, 0)]  # untried values, out-sum at src and in-sum at tgt, digits so far
     while frames:
         i = len(frames) - 1
         e = order[i]
-        untried, out_before, in_before = frames[-1]
+        untried, out_before, in_before, code_before = frames[-1]
         for x in untried:
             nodes += 1
             if nodes > guard:
                 space = f"cycle search space {len(values)}^{len(order)} expanded {nodes} nodes"
                 raise ValueError(_over_guard(space, guard))
-            coeff[e] = x
             out_sum[src[e]], in_sum[tgt[e]] = add(out_before, x), add(in_before, x)
             if all(out_sum[v] == in_sum[v] for v in closing[i]):
+                code = code_before + x * weight[e]
                 if i + 1 == len(order):
-                    found.append(tuple(coeff))
+                    found.append(code)
                 else:
                     f = order[i + 1]
-                    frames.append((iter(values), out_sum[src[f]], in_sum[tgt[f]]))
+                    frames.append((iter(values), out_sum[src[f]], in_sum[tgt[f]], code))
                     break
         else:
             out_sum[src[e]], in_sum[tgt[e]] = out_before, in_before
             frames.pop()
-    return [chain(algebra, dict(enumerate(c))) for c in sorted(found)]
+    return [chain(algebra, {e: code // w % len(values) for e, w in enumerate(weight)}) for code in sorted(found)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from typing import Iterable
 
 import monograph as mg
 from monograph.homology import LOOP_CAP
+from monograph.validation import AXIOM, STRUCTURE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -342,3 +344,150 @@ def minimal_elements(chains: Iterable[mg.Chain]) -> list[mg.Chain]:
         return all(e in b_coeffs and v <= b_coeffs[e] for e, v in a.items)
 
     return [c for c in pool if not any(other != c and below(other, c) for other in pool)]
+
+
+def broken_product_rig() -> mg.TableAlgebra:
+    """S x S (16 elements) with five entries changed, declared commutative and
+    cancellative: it fails unit (of both operations), associativity,
+    commutativity, both distributive laws, absorption and cancellativity."""
+    rig = mg.product_algebra(S_RIG, S_RIG)
+    n = rig.size
+    mul, add = list(rig.mul_table), list(rig.add_table)
+    mul[rig.unit * n + 7] = 6
+    mul[rig.zero_index * n + 10] = 10
+    mul[9 * n + 14] = 2
+    add[3 * n + 12] = 13
+    add[rig.zero_index * n + 2] = 3
+    flags = mg.Flags(commutative=True, cancellative=True)
+    return mg.TableAlgebra(rig.elements, tuple(mul), rig.unit, tuple(add), rig.zero_index, flags)
+
+
+def algebra_model_json(algebra: mg.TableAlgebra) -> str:
+    """A model file holding only `algebra`, as `monograph validate` reads it."""
+    obj = {
+        "kind": "finite-table",
+        "elements": list(algebra.elements),
+        "mul_table": list(algebra.mul_table),
+        "unit": algebra.unit,
+        "flags": {"commutative": algebra.flags.commutative, "cancellative": algebra.flags.cancellative},
+    }
+    if algebra.is_rig:
+        obj.update(add_table=list(algebra.add_table), zero=algebra.zero_index)
+    return json.dumps({"format": 1, "algebra": obj})
+
+
+def oracle_table_structure(a: mg.TableAlgebra) -> mg.ValidationReport:
+    """Structural checks of a table algebra, one entry at a time."""
+    report = mg.ValidationReport(subject="finite-table algebra")
+    n = a.size
+    if n == 0:
+        report.add(STRUCTURE, "empty", "algebra has no elements")
+        return report
+    if len(set(a.elements)) != n:
+        report.add(STRUCTURE, "duplicate-names", "element names are not distinct")
+    tables = [("mul", a.mul_table)]
+    if a.add_table is not None:
+        tables.append(("add", a.add_table))
+    for label, table in tables:
+        if len(table) != n * n:
+            report.add(STRUCTURE, "non-square", f"{label} table has {len(table)} entries, expected {n * n}")
+        else:
+            bad = [v for v in table if not isinstance(v, int) or not (0 <= v < n)]
+            if bad:
+                report.add(STRUCTURE, "out-of-range", f"{label} table entry {bad[0]!r} is not an element index")
+    if not isinstance(a.unit, int) or not (0 <= a.unit < n):
+        report.add(STRUCTURE, "out-of-range", f"unit index {a.unit!r} is not an element index")
+    if a.add_table is not None and (not isinstance(a.zero_index, int) or not (0 <= a.zero_index < n)):
+        report.add(STRUCTURE, "out-of-range", f"zero index {a.zero_index!r} is not an element index")
+    if a.add_table is None and a.zero_index is not None:
+        report.add(STRUCTURE, "zero-without-add", "zero declared but no addition table")
+    return report
+
+
+def oracle_is_cancellative(algebra):
+    """`is_cancellative` by calling the coefficient addition on every pair."""
+    add = algebra.add
+    if isinstance(algebra, mg.BuiltinAlgebra):
+        witness = algebra.cancellation_witness
+        return (witness is None, witness)
+    n = algebra.size
+    for e in range(n):
+        seen: dict[int, int] = {}
+        for c in range(n):
+            value = add(c, e)
+            if value in seen and seen[value] != c:
+                return False, (seen[value], c, e)
+            seen.setdefault(value, c)
+    return True, None
+
+
+def oracle_validate_algebra(algebra, rng_seed: int = 0, samples: int = 50) -> mg.ValidationReport:
+    """`validate_algebra` one argument tuple at a time: every law is checked
+    with scalar operation calls on each triple (or pair, or element)."""
+    if isinstance(algebra, mg.TableAlgebra):
+        report = oracle_table_structure(algebra)
+        if not report.ok:
+            return report
+    else:
+        report = mg.ValidationReport(subject=f"builtin algebra {algebra.builtin_id}")
+
+    def cases(arity: int):
+        if isinstance(algebra, mg.TableAlgebra):
+            return itertools.product(algebra.iter_elements(), repeat=arity)
+        rng = random.Random(rng_seed)
+        draws = [algebra.sample(rng) for _ in range(samples)]
+        return zip(*(draws[i:] for i in range(arity)))
+
+    t = algebra.label_text
+
+    def monoid(op, unit, label: str) -> None:
+        for (x,) in cases(1):
+            if op(unit, x) != x or op(x, unit) != x:
+                report.add(AXIOM, "unit", f"{label}: {t(unit)} is not a unit at {t(x)}", (x,))
+        for x, y, z in cases(3):
+            if op(op(x, y), z) != op(x, op(y, z)):
+                report.add(
+                    AXIOM, "associativity", f"{label}: ({t(x)}*{t(y)})*{t(z)} != {t(x)}*({t(y)}*{t(z)})", (x, y, z)
+                )
+
+    def commutativity(op, label: str, sign: str) -> None:
+        for x, y in cases(2):
+            if x < y and op(x, y) != op(y, x):
+                report.add(AXIOM, "commutativity", f"{label}: {t(x)}{sign}{t(y)} != {t(y)}{sign}{t(x)}", (x, y))
+
+    mul = algebra.mul
+    monoid(mul, algebra.one, "mul")
+    if algebra.flags.commutative:
+        commutativity(mul, "mul", "*")
+    if algebra.is_rig:
+        add, zero = algebra.add, algebra.zero
+        monoid(add, zero, "add")
+        commutativity(add, "add", "+")
+        for r, s, u in cases(3):
+            if mul(r, add(s, u)) != add(mul(r, s), mul(r, u)):
+                report.add(
+                    AXIOM,
+                    "distributivity-left",
+                    f"{t(r)}*({t(s)}+{t(u)}) != {t(r)}*{t(s)} + {t(r)}*{t(u)}",
+                    (r, s, u),
+                )
+            if mul(add(r, s), u) != add(mul(r, u), mul(s, u)):
+                report.add(
+                    AXIOM,
+                    "distributivity-right",
+                    f"({t(r)}+{t(s)})*{t(u)} != {t(r)}*{t(u)} + {t(s)}*{t(u)}",
+                    (r, s, u),
+                )
+        for (x,) in cases(1):
+            if mul(zero, x) != zero or mul(x, zero) != zero:
+                report.add(AXIOM, "absorption", f"0*{t(x)} or {t(x)}*0 is not 0", (x,))
+
+    coefficient_view = algebra.is_rig or algebra.flags.commutative
+    if algebra.flags.cancellative and not coefficient_view:
+        report.add(AXIOM, "cancellativity", "declared cancellative, but neither a rig nor commutative")
+    elif algebra.flags.cancellative:
+        ok, witness = oracle_is_cancellative(algebra)
+        if not ok:
+            c, d, e = witness
+            report.add(AXIOM, "cancellativity", f"{t(c)}+{t(e)} = {t(d)}+{t(e)} but {t(c)} != {t(d)}", witness)
+    return report

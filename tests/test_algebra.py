@@ -10,7 +10,18 @@ from hypothesis import strategies as st
 import monograph as mg
 from monograph.validation import AXIOM, STRUCTURE
 
-from helpers import BOOL, NAT, S_RIG, SIGN, SIGN0, SIGNI, TRIVIAL
+from helpers import (
+    BOOL,
+    NAT,
+    S_RIG,
+    SIGN,
+    SIGN0,
+    SIGNI,
+    TRIVIAL,
+    broken_product_rig,
+    oracle_is_cancellative,
+    oracle_validate_algebra,
+)
 
 
 def cyclic_group(n: int) -> mg.TableAlgebra:
@@ -311,6 +322,117 @@ def test_constructions_always_validate(n, add_zero_first, use_truncated):
     assert mg.validate_algebra(mg.product_algebra(extended, base)).ok
     if base.size <= mg.algebra.POWER_RIG_LIMIT:
         assert mg.validate_algebra(mg.power_rig(base)).ok
+
+
+# lawful operations on 0..n-1, as (operation, its unit)
+LAWFUL_MONOIDS = {
+    "add mod n": (lambda n, a, b: (a + b) % n, lambda n: 0),
+    "mul mod n": (lambda n, a, b: a * b % n, lambda n: 1 % n),
+    "max": (lambda n, a, b: max(a, b), lambda n: 0),
+    "truncated add": (lambda n, a, b: min(a + b, n - 1), lambda n: 0),
+}
+# lawful rigs on 0..n-1, as (add, mul, unit); zero is 0
+LAWFUL_RIGS = {
+    "ring mod n": (lambda n, a, b: (a + b) % n, lambda n, a, b: a * b % n, lambda n: 1 % n),
+    "max-min lattice": (lambda n, a, b: max(a, b), lambda n, a, b: min(a, b), lambda n: n - 1),
+}
+
+
+@st.composite
+def table_algebras(draw):
+    """Tables of 1-6 elements: lawful monoids or rigs, or random tables, with a
+    few entries, the unit or the zero changed, and random declared flags; now
+    and then a structural defect."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    index = st.integers(min_value=0, max_value=n - 1)
+
+    def table(op):
+        if op is None:
+            return draw(st.lists(index, min_size=n * n, max_size=n * n))
+        return [op(n, a, b) for a in range(n) for b in range(n)]
+
+    def broken(entries):
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            entries[draw(st.integers(min_value=0, max_value=n * n - 1))] = draw(index)
+        if draw(st.integers(min_value=0, max_value=19)) == 0:
+            entries[draw(st.integers(min_value=0, max_value=n * n - 1))] = draw(st.sampled_from((-1, n, "x", 1.5, None)))
+        return tuple(entries)
+
+    flags = mg.Flags(commutative=draw(st.booleans()), cancellative=draw(st.booleans()))
+    lawful = draw(st.booleans())
+    if draw(st.booleans()):
+        add, mul, unit_of = LAWFUL_RIGS[draw(st.sampled_from(sorted(LAWFUL_RIGS)))] if lawful else (None,) * 3
+        zero = 0 if draw(st.booleans()) else draw(index)
+        add_table = broken(table(add))
+    else:
+        mul, unit_of = LAWFUL_MONOIDS[draw(st.sampled_from(sorted(LAWFUL_MONOIDS)))] if lawful else (None,) * 2
+        zero = add_table = None
+    unit = unit_of(n) if unit_of and draw(st.booleans()) else draw(index)
+    return mg.TableAlgebra(tuple(map(str, range(n))), broken(table(mul)), unit, add_table, zero, flags)
+
+
+BROKEN_NAT_RIGS = [
+    dataclasses.replace(mg.named_algebra("NatRig"), mul=lambda a, b: a * b + (a > 1 and b > 1)),
+    dataclasses.replace(mg.named_algebra("NatRig"), _rig_add=lambda a, b: a + 2 * b),
+]
+
+
+def assert_same_report(algebra, **kwargs) -> mg.ValidationReport:
+    report, expected = mg.validate_algebra(algebra, **kwargs), oracle_validate_algebra(algebra, **kwargs)
+    assert report.violations == expected.violations  # kind, code, message, witness, order
+    assert report.summary() == expected.summary()
+    return report
+
+
+class TestRowChecksMatchTheOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(table_algebras())
+    def test_random_tables(self, algebra):
+        report = assert_same_report(algebra)
+        well_formed = all(v.kind == AXIOM for v in report.violations)
+        if well_formed and (algebra.is_rig or algebra.flags.commutative):
+            assert mg.is_cancellative(algebra) == oracle_is_cancellative(algebra)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([mg.named_algebra(name) for name in mg.BUILTIN_NAMES] + BROKEN_NAT_RIGS),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=60),
+    )
+    def test_builtins_with_any_seed_and_sample_size(self, algebra, rng_seed, samples):
+        assert_same_report(algebra, rng_seed=rng_seed, samples=samples)
+
+    def test_broken_sixteen_element_product_rig(self):
+        codes = {v.code for v in assert_same_report(broken_product_rig()).violations}
+        assert codes == {
+            "unit",
+            "associativity",
+            "commutativity",
+            "distributivity-left",
+            "distributivity-right",
+            "absorption",
+            "cancellativity",
+        }
+
+    def test_operation_calls_grow_with_the_square_of_the_size(self, monkeypatch):
+        calls = []
+
+        def counted(method):
+            def wrapper(self, a, b):
+                calls.append(a)
+                return method(self, a, b)
+
+            return wrapper
+
+        monkeypatch.setattr(mg.TableAlgebra, "mul", counted(mg.TableAlgebra.mul))
+        # a rig's ``add`` is bound at construction, so patch it before building
+        monkeypatch.setattr(mg.TableAlgebra, "_rig_add", counted(mg.TableAlgebra._rig_add))
+        rig = broken_product_rig()
+        n = rig.size
+        calls.clear()
+        mg.validate_algebra(rig)
+        # about 20 n^3 calls when every triple is checked with scalar calls
+        assert 0 < len(calls) <= 8 * n * n
 
 
 class TestHoms:

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand."""
 
+import hashlib
 import json
 import os
 import random
@@ -13,7 +14,15 @@ import monograph as mg
 from monograph import cli
 from monograph.cli import main
 
-from helpers import FIXTURES, GRADED_ALGEBRAS, rand_graded_labels, rand_graph, recursion_limit
+from helpers import (
+    FIXTURES,
+    GRADED_ALGEBRAS,
+    algebra_model_json,
+    broken_product_rig,
+    rand_graded_labels,
+    rand_graph,
+    recursion_limit,
+)
 
 
 def run(capsys, *argv):
@@ -99,6 +108,19 @@ class TestValidate:
         code, out, err = run(capsys, "validate", bad)
         assert code == 1 and not err
         assert "[axiom/cancellativity] declared cancellative, but neither a rig nor commutative" in out
+
+    def test_broken_product_rig_report_is_pinned(self, capsys, tmp_path, monkeypatch):
+        # stdout of the per-triple checker this replaced, byte for byte: 387
+        # violations of every law, in order, with their witnesses
+        monkeypatch.chdir(tmp_path)
+        Path("broken_rig.json").write_text(algebra_model_json(broken_product_rig()))
+        code, out, err = run(capsys, "validate", "broken_rig.json")
+        assert (code, err) == (1, "")
+        assert out.startswith("broken_rig.json: INVALID\n  finite-table algebra: 387 violation(s)\n")
+        assert len(out) == 31329
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9287b3e2767b14de19943a7ec3aa1459423d0845f1ef653c9fa98024530d9a9d"
+        )
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
