@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import _coefficient_view
-from .graphs import GraphMorphism, LabeledGraph, validate_morphism
+from .graphs import GraphMorphism, LabeledGraph, _require_valid
 
 
 def _check_coefficient_algebra(src: LabeledGraph, dst: LabeledGraph) -> None:
@@ -45,9 +45,7 @@ def is_additive_morphism(a: AdditiveMorphism):
 
 def pushforward_labeling(m: GraphMorphism, src: LabeledGraph) -> LabeledGraph:
     """The unique target labeling making `m` additive: fiberwise label sums."""
-    report = validate_morphism(m)
-    if not report.ok:
-        raise ValueError(report.summary())
+    _require_valid(m)
     if m.source != src.graph:
         raise ValueError("morphism source does not match the labeled graph")
     view = _coefficient_view(src.algebra)

@@ -685,6 +685,10 @@ class MonoidHom:
             raise ValueError("exactly one of mapping/fn must be given")
         if self.mapping is not None and not isinstance(self.source, TableAlgebra):
             raise ValueError("element mappings need a finite source")
+        if self.mapping is not None and len(self.mapping) != self.source.size:
+            raise ValueError(
+                f"mapping lists {len(self.mapping)} image(s) for {self.source.size} source element(s)"
+            )
 
 
 def apply_hom(hom: MonoidHom, x: Element) -> Element:

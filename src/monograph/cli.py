@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 
@@ -148,10 +149,7 @@ def cmd_motif(args) -> int:
         motif = builtin_motif(args.motif)
     else:
         motif = _graph_of(_load(args.motif), args.motif)
-    try:
-        matches, truncated = find_motifs(motif, host, args.max_path_len, args.max_results)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    matches, truncated = find_motifs(motif, host, args.max_path_len, args.max_results)
     # every path chosen for motif edge e grades to the motif's label on e
     grades = [host.algebra.label_text(x) for x in motif.labels]
     payload = {
@@ -172,10 +170,11 @@ def cmd_motif(args) -> int:
 
 
 def _two_open_inputs(args):
-    left_path = args.left if args.left else args.inputs[0] if args.inputs else None
-    right_path = args.right if args.right else args.inputs[-1] if len(args.inputs) > 1 else None
-    if not left_path or not right_path:
+    """Exactly two inputs: LEFT RIGHT, or --left and --right with no positional."""
+    flags = [path for path in (args.left, args.right) if path is not None]
+    if len(flags) == 1 or len(flags + args.inputs) != 2:
         raise CliError("need two open graphs: positional LEFT RIGHT or --left/--right")
+    left_path, right_path = flags + args.inputs
     left = _open_of(_load(left_path), left_path)
     right = _open_of(_load(right_path), right_path)
     return left, right
@@ -184,10 +183,7 @@ def _two_open_inputs(args):
 def cmd_combine(args) -> int:
     left, right = _two_open_inputs(args)
     combine = compose_open if args.command == "compose" else tensor_open
-    try:
-        result = combine(left, right)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    result = combine(left, right)
     _write(args.out, emit_model(ModelFile(open_graph=result)))
     print(
         f"wrote {args.out}: {result.inner.graph.n_vertices} vertices, "
@@ -200,10 +196,7 @@ def cmd_homology(args) -> int:
     model = _load(args.file)
     g = _graph_of(model, args.file)
     loops, truncated = simple_loops(g.graph)
-    try:
-        relations = find_relations(loops, args.bound)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    relations = find_relations(loops, args.bound)
     zeroth = h0(g.graph, g.algebra) if _coefficient_view(g.algebra) is not None else None
 
     def loop_term(vector):
@@ -237,10 +230,7 @@ def cmd_homology(args) -> int:
 def cmd_emergence(args) -> int:
     left = _open_of(_load(args.left), args.left)
     right = _open_of(_load(args.right), args.right)
-    try:
-        glued = glue(left, right)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    glued = glue(left, right)
     report = emergence_report(glued)
     algebra = glued.composite.algebra
     rows = [
@@ -301,10 +291,7 @@ def cmd_change_labels(args) -> int:
     model = _load(args.file)
     g = _graph_of(model, args.file)
     hom = _resolve_hom(args, g)
-    try:
-        relabeled = change_labels(hom, g)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    relabeled = change_labels(hom, g)
     out_model = ModelFile(
         graph=relabeled, vertex_ids=model.vertex_ids, edge_ids=model.edge_ids
     )
@@ -330,10 +317,7 @@ def cmd_decompose(args) -> int:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise CliError(f"coefficient of {eid!r} must be a natural number")
         coeffs[edge_index[eid]] = value
-    try:
-        parts = decompose_cycle(nat_chain(coeffs), g.graph)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    parts = decompose_cycle(nat_chain(coeffs), g.graph)
     rows = [[model.edge_ids[e] for e in loop.edges] for loop in parts]
     if args.json:
         _emit_json({"parts": rows})
@@ -370,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motif", help="find motif occurrences in a host graph")
     p.add_argument("--motif", required=True, help="builtin motif name or a model file")
     p.add_argument("--host", required=True)
-    p.add_argument("--max-path-len", type=int, default=6)
-    p.add_argument("--max-results", type=int, default=10000)
+    search = inspect.signature(find_motifs).parameters
+    p.add_argument("--max-path-len", type=int, default=search["max_path_len"].default)
+    p.add_argument("--max-results", type=int, default=search["max_results"].default)
     p.add_argument("--json", action="store_true")
 
     for name, helptext in (
@@ -430,9 +415,11 @@ def _handler(command: str):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # the one place where a failure becomes an `error:` line: ValueError
+    # covers the library's input checks, ModelFormatError and JSONDecodeError
     try:
         return _handler(args.command)(args)
-    except (CliError, RecursionError) as exc:
+    except (CliError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .algebra import LabelAlgebra
 from .graphs import LabeledGraph
 from .homology import (
+    LOOP_CAP,
     Chain,
     SimpleLoop,
     boundary_pair,
@@ -40,8 +41,6 @@ class GluedGraph:
     composite: LabeledGraph
     side: tuple[str, ...]  # per edge: "x" or "y"
     shared: tuple[int, ...]  # composite vertex ids lying on both sides
-    x_vertices: frozenset[int]
-    y_vertices: frozenset[int]
 
 
 def glue(x: OpenGraph, y: OpenGraph) -> GluedGraph:
@@ -55,11 +54,11 @@ def glue(x: OpenGraph, y: OpenGraph) -> GluedGraph:
         raise ValueError("left graph's interface leg is not injective")
     if len(set(y.leg_in)) != len(y.leg_in):
         raise ValueError("right graph's interface leg is not injective")
-    composite, map_x, map_y = _pushout(x, y)
+    composite, map_x, _ = _pushout(x, y)
     n_x_edges = x.inner.graph.n_edges
     side = tuple("x" if e < n_x_edges else "y" for e in range(composite.graph.n_edges))
     shared = tuple(sorted(map_x[v] for v in x.leg_out))
-    return GluedGraph(composite, side, shared, frozenset(map_x), frozenset(map_y))
+    return GluedGraph(composite, side, shared)
 
 
 def grade_word(p: Path, g: GluedGraph, collapse: bool = False) -> str:
@@ -175,24 +174,19 @@ class EmergenceReport:
         return sum(1 for row in self.rows if row.inherited)
 
 
-def emergence_report(g: GluedGraph, cap: int = 10000) -> EmergenceReport:
+def emergence_report(g: GluedGraph, cap: int = LOOP_CAP) -> EmergenceReport:
     """Classify every simple loop of the composite as inherited or emergent.
 
     A simple loop is inherited exactly when its collapsed side word is a
-    single letter; the chain-level test and the word agree, and both are
-    reported.  Words are read from the loop's canonical rotation; starting
-    elsewhere can rotate which letter comes first but never changes the
-    inherited/emergent verdict.
+    single letter: a proper part of a simple loop is never a cycle, so
+    `is_inherited_cycle` holds iff every edge lies on one side.  Words are
+    read from the loop's canonical rotation; starting elsewhere can rotate
+    which letter comes first but never changes the inherited/emergent
+    verdict.
     """
     loops, truncated = simple_loops(g.composite.graph, cap)
     rows = []
     for loop in loops:
-        rows.append(
-            EmergenceRow(
-                loop,
-                is_inherited_cycle(loop.indicator(), g),
-                grade_word(loop.as_path(g.composite.graph), g, collapse=True),
-                loop_polarity(loop, g.composite),
-            )
-        )
+        word = grade_word(loop.as_path(g.composite.graph), g, collapse=True)
+        rows.append(EmergenceRow(loop, len(word) == 1, word, loop_polarity(loop, g.composite)))
     return EmergenceReport(rows, truncated)

@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from .additive import AdditiveMorphism, is_additive_morphism
-from .algebra import MonoidHom
+from .algebra import MonoidHom, _fresh_name
 from .graphs import (
     Graph,
     GraphMorphism,
@@ -115,39 +115,27 @@ def compose(x: OpenGraph, y: OpenGraph) -> OpenGraph:
     )
 
 
-def _merge_foot_names(left: tuple[str, ...], right: tuple[str, ...]):
+def _merge_foot_names(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
     """Disjoint union of foot names; right-side collisions get primed."""
-    taken = set(left)
-    merged = list(left)
-    renamed = []
+    merged, taken = list(left), set(left)
     for name in right:
-        fresh = name
-        while fresh in taken:
-            fresh += "'"
-        taken.add(fresh)
-        merged.append(fresh)
-        renamed.append(fresh)
-    return tuple(merged), tuple(renamed)
+        merged.append(_fresh_name(taken, name))
+        taken.add(merged[-1])
+    return tuple(merged)
 
 
 def tensor(x: OpenGraph, y: OpenGraph) -> OpenGraph:
     """Set two open graphs side by side: disjoint union of everything."""
-    if x.inner.algebra != y.inner.algebra:
-        raise ValueError("open graphs must share one label algebra")
-    gx, gy = x.inner.graph, y.inner.graph
-    nx = gx.n_vertices
-    names = gx.vertex_names + gy.vertex_names
-    src = gx.edge_src + tuple(v + nx for v in gy.edge_src)
-    tgt = gx.edge_tgt + tuple(v + nx for v in gy.edge_tgt)
-    inner = LabeledGraph(Graph(names, src, tgt), x.inner.algebra, x.inner.labels + y.inner.labels)
-    left, _ = _merge_foot_names(x.left_foot, y.left_foot)
-    right, _ = _merge_foot_names(x.right_foot, y.right_foot)
+    # the disjoint union is the pushout over the empty interface
+    inner, map_x, map_y = _pushout(
+        replace(x, right_foot=(), leg_out=()), replace(y, left_foot=(), leg_in=())
+    )
     return OpenGraph(
         inner,
-        left,
-        right,
-        x.leg_in + tuple(v + nx for v in y.leg_in),
-        x.leg_out + tuple(v + nx for v in y.leg_out),
+        _merge_foot_names(x.left_foot, y.left_foot),
+        _merge_foot_names(x.right_foot, y.right_foot),
+        tuple(map_x[v] for v in x.leg_in) + tuple(map_y[v] for v in y.leg_in),
+        tuple(map_x[v] for v in x.leg_out) + tuple(map_y[v] for v in y.leg_out),
     )
 
 

@@ -468,6 +468,11 @@ class TestHoms:
         report = mg.validate_hom(bad)
         assert any(v.code in ("zero", "additivity") for v in report.violations)
 
+    @pytest.mark.parametrize("mapping", [(0,), (0, 1, 0)], ids=["short", "long"])
+    def test_mapping_must_list_one_image_per_source_element(self, mapping):
+        with pytest.raises(ValueError, match=f"mapping lists {len(mapping)} image\\(s\\) for 2 source"):
+            mg.MonoidHom(SIGN, SIGN, mapping=mapping)
+
 
 class TestLabelParsing:
     def test_table_labels_parse_by_name(self):

@@ -165,6 +165,26 @@ class TestComposeAndTensor:
         )
         assert code == 0 and "9 vertices, 9 edges" in out
 
+    @pytest.mark.parametrize("command", ["compose", "tensor"])
+    @pytest.mark.parametrize(
+        "inputs",
+        [
+            [FIXTURES / "open_left.json", "/nonexistent.json", FIXTURES / "open_right.json"],
+            [
+                "--left", FIXTURES / "open_left.json", "--right", FIXTURES / "open_right.json",
+                FIXTURES / "glue_red.json",
+            ],
+            [FIXTURES / "open_left.json", "--right", FIXTURES / "open_right.json"],
+            [FIXTURES / "open_left.json"],
+        ],
+        ids=["three-positionals", "flags-and-a-positional", "one-flag", "one-positional"],
+    )
+    def test_anything_but_two_inputs_fails(self, capsys, tmp_path, command, inputs):
+        out_path = tmp_path / "z.json"
+        code, out, err = run(capsys, command, *inputs, "--out", out_path)
+        assert code == 1 and not out and not out_path.exists()
+        assert err == "error: need two open graphs: positional LEFT RIGHT or --left/--right\n"
+
 
 def ring_file(tmp_path, n):
     path = tmp_path / f"ring{n}.json"
@@ -287,6 +307,18 @@ class TestChangeLabels:
         )
         assert code == 1 and "unknown hom" in err
 
+    @pytest.mark.parametrize("images", [["+"], ["+", "-", "0"]], ids=["short", "long"])
+    def test_hom_file_map_of_the_wrong_length(self, capsys, tmp_path, images):
+        hom_path = tmp_path / "hom.json"
+        hom_path.write_text(json.dumps({"source": "SIGN", "target": "SIGN0", "map": images}))
+        out_path = tmp_path / "relabeled.json"
+        code, out, err = run(
+            capsys, "change-labels", FIXTURES / "homework.json", "--hom-file", hom_path,
+            "--out", out_path,
+        )
+        assert code == 1 and not out and not out_path.exists()
+        assert err == f"error: bad hom file: mapping lists {len(images)} image(s) for 2 source element(s)\n"
+
 
 class TestSignSection:
     def test_rational_labels_have_feedback(self, capsys, tmp_path):
@@ -376,6 +408,39 @@ class TestOutputErrors:
         )
         assert code == 1 and not out
         assert err == "error: max_results must be at least 0\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["motif", "--motif", "positive-autoregulation", "--host", FIXTURES / "host.json",
+                 "--max-path-len", "0"],
+                "max_path_len must be at least 1",
+            ),
+            (
+                ["compose", FIXTURES / "open_right.json", FIXTURES / "open_left.json", "--out", os.devnull],
+                "foot mismatch: ['c1'] vs ['a1']",
+            ),
+            (
+                ["tensor", FIXTURES / "open_left.json", FIXTURES / "glue_red.json", "--out", os.devnull],
+                "open graphs must share one label algebra",
+            ),
+            (
+                ["emergence", "--left", FIXTURES / "open_left.json", "--right", FIXTURES / "open_right.json"],
+                "left graph's interface leg is not injective",
+            ),
+            (
+                ["change-labels", FIXTURES / "homework.json", "--hom", "sign", "--out", os.devnull],
+                "graph labels do not live in the hom's source algebra",
+            ),
+            (["decompose", FIXTURES / "q4.json", "--chain", '{"e1": 1}'], "chain is not a cycle"),
+        ],
+        ids=["motif", "compose", "tensor", "emergence", "change-labels", "decompose"],
+    )
+    def test_library_value_error_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == f"error: {message}\n"
 
 
 class TestDecompose:

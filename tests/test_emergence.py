@@ -12,10 +12,14 @@ from helpers import BOOL, FIXTURES, TRIVIAL, brute_force_circulations, rand_glue
 from test_algebra import cyclic_group, truncated_add
 
 
-def intro_glue() -> mg.GluedGraph:
+def intro_pair() -> tuple[mg.OpenGraph, mg.OpenGraph]:
     red = mg.load_model(FIXTURES / "glue_red.json").open_graph
     blue = mg.load_model(FIXTURES / "glue_blue.json").open_graph
-    return mg.glue(red, blue)
+    return red, blue
+
+
+def intro_glue() -> mg.GluedGraph:
+    return mg.glue(*intro_pair())
 
 
 def boolean_glue() -> mg.GluedGraph:
@@ -29,7 +33,8 @@ class TestGlue:
         g = intro_glue()
         assert g.side.count("x") == 7 and g.side.count("y") == 6
         assert len(g.shared) == 4
-        assert set(g.shared) == set(g.x_vertices) & set(g.y_vertices)
+        _, map_x, map_y = mg.open_graphs._pushout(*intro_pair())
+        assert set(g.shared) == set(map_x) & set(map_y)
 
     def test_composite_is_connected(self):
         g = intro_glue()
@@ -154,6 +159,8 @@ class TestInheritedCycles:
             for loop in loops:
                 word = mg.grade_word(loop.as_path(g.composite.graph), g, collapse=True)
                 assert (len(word) == 1) == mg.is_inherited_cycle(loop.indicator(), g)
+            rows = mg.emergence_report(g).rows
+            assert [row.inherited for row in rows] == [mg.is_inherited_cycle(loop.indicator(), g) for loop in loops]
 
 
 class TestMayerVietoris:
