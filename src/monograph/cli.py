@@ -28,6 +28,7 @@ from .homology import decompose_cycle, feedback, find_relations, h0, loop_polari
 from .model_io import (
     ModelFile,
     ModelFormatError,
+    _canonical_json,
     emit_model,
     export_dot,
     load_model,
@@ -73,7 +74,7 @@ def _open_of(model: ModelFile, path):
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    print(_canonical_json(obj))
 
 
 def cmd_validate(args) -> int:
@@ -144,28 +145,37 @@ def cmd_loops(args) -> int:
 
 
 def cmd_motif(args) -> int:
-    host = _graph_of(_load(args.host), args.host)
+    host_model = _load(args.host)
+    host = _graph_of(host_model, args.host)
     if args.motif in MOTIF_NAMES:
         motif = builtin_motif(args.motif)
     else:
         motif = _graph_of(_load(args.motif), args.motif)
     matches, truncated = find_motifs(motif, host, args.max_path_len, args.max_results)
-    # every path chosen for motif edge e grades to the motif's label on e
-    grades = [host.algebra.label_text(x) for x in motif.labels]
+    # every path chosen for motif edge e grades to the motif's label on e;
+    # the library's tuples go out as they are, so the emitter writes each
+    # shared vertex map, path and the grades once
+    grades = tuple(host.algebra.label_text(x) for x in motif.labels)
     payload = {
         "matches": [
             {
-                "vertex_map": list(k.vertex_map),
-                "edge_paths": [list(p.edges) for p in k.edge_map],
+                "vertex_map": k.vertex_map,
+                "edge_paths": [p.edges for p in k.edge_map],
                 "grades": grades,
             }
             for k in matches
         ],
         "truncated": truncated,
     }
-    if not args.json:
-        print(f"{len(matches)} match(es)" + (" (truncated)" if truncated else ""))
-    _emit_json(payload)
+    if args.json:
+        _emit_json(payload)
+        return 0
+    print(f"{len(matches)} match(es)" + (" (truncated)" if truncated else ""))
+    motif_names, host_names, edge_ids = motif.graph.vertex_names, host.graph.vertex_names, host_model.edge_ids
+    for i, k in enumerate(matches):
+        vertices = ", ".join(f"{motif_names[v]} -> {host_names[w]}" for v, w in enumerate(k.vertex_map))
+        paths = ", ".join("[" + ", ".join(edge_ids[e] for e in p.edges) + "]" for p in k.edge_map)
+        print(f"  match {i}: {vertices}; paths {paths}")
     return 0
 
 

@@ -164,6 +164,8 @@ def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
 
 
 LOOP_CAP = 10000
+# the most loops, counted with multiplicity, that `decompose_cycle` returns
+_PARTS_GUARD = 10**6
 
 
 def _split_components(vertices: list[int], comp: list[int], members: list[list[int]], g: Graph) -> None:
@@ -313,13 +315,16 @@ def decompose_cycle(c: Chain, g: Graph) -> list[SimpleLoop]:
     Walks positive-coefficient edges until a vertex repeats, peels off the
     loop between the repeats with its full multiplicity, and starts over.
     The returned loops (with repetitions) re-sum exactly to the input.
+    Raises ValueError when they would number more than `_PARTS_GUARD`
+    (10^6), before the list is built.
     """
     if c.algebra != NAT:
         raise ValueError("decomposition works on natural-number chains")
     if not is_cycle(c, g):
         raise ValueError("chain is not a cycle")
     work = c.as_dict()
-    parts: list[SimpleLoop] = []
+    # each peel zeroes an edge, so there are at most as many as edges
+    peels: list[tuple[SimpleLoop, int]] = []
     while work:
         first = min(work)
         at = g.edge_src[first]
@@ -336,9 +341,15 @@ def decompose_cycle(c: Chain, g: Graph) -> list[SimpleLoop]:
                     work[e] -= multiplicity
                     if work[e] == 0:
                         del work[e]
-                parts.extend([SimpleLoop(canonical_rotation(loop_edges))] * multiplicity)
+                peels.append((SimpleLoop(canonical_rotation(loop_edges)), multiplicity))
                 break
             seen[at] = len(trail)
+    total = sum(multiplicity for _, multiplicity in peels)
+    if total > _PARTS_GUARD:
+        raise ValueError(_over_guard(f"decomposition into {total} loops", _PARTS_GUARD))
+    parts: list[SimpleLoop] = []
+    for loop, multiplicity in peels:
+        parts.extend([loop] * multiplicity)
     return sorted(parts, key=lambda loop: loop.edges)
 
 

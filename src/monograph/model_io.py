@@ -3,14 +3,18 @@
 A model file carries a format version plus an algebra, a graph, or an open
 graph (and optionally a morphism's index arrays).  Vertex and edge ids in a
 file may be strings or integers; they are normalized to strings and mapped
-to dense internal indices at parse time.  Emission is canonical: sorted
-keys, two-space indent, trailing newline, so identical models give
-byte-identical files.
+to dense internal indices at parse time.  Emission is canonical:
+`_canonical_json` writes exactly what ``json.dumps(obj, indent=2,
+sort_keys=True)`` writes (sorted keys, two-space indent, ASCII escapes),
+and a model file ends in a newline, so identical models give
+byte-identical files.  The CLI's `--json` output goes through the same
+emitter.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -352,8 +356,124 @@ def model_to_json(model: ModelFile) -> dict:
     return obj
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar_text(value: Any) -> Optional[str]:
+    """json's text for a scalar, or None for a list, tuple or dict."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _scalar_list(items, encode, nl: str) -> str:
+    """A list of items of one type as one string, each written by `encode`,
+    or "" when their types differ."""
+    if len(set(map(type, items))) != 1:
+        return ""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(encode, items)) + nl + "]"
+
+
+_END = object()
+_CONTAINERS = frozenset({list, tuple, dict})
+# the item types whose lists are written in one join; not bool, whose
+# int.__repr__ is not json's spelling
+_LIST_ITEM_ENCODERS = {str: _encode_str, int: int.__repr__}
+
+
+def _canonical_json(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    With an `indent`, json writes through its pure-Python encoder, one
+    generator step per scalar.  Here scalars are encoded by json's C
+    functions, and a list or tuple of only `str` or only `int` items is one
+    `join`, written once per call however often it recurs: the cache keys it
+    by id and indent and holds it, so no id is reused during the call.
+    Containers are walked on an explicit stack.  Raises TypeError and
+    ValueError where json.dumps does, and TypeError for a dict key that is
+    not a `str` (json.dumps would write an int, float, bool or None key as
+    a string; no model or payload has one).
+    """
+    parts: list[str] = []
+    emit = parts.append
+    lists: dict[tuple[int, str], str] = {}
+    keep = []
+    open_ids: set[int] = set()
+    # the open container: its items left, the separators before its first
+    # and later items, the newline before each item, its closing text,
+    # whether it is a dict, and its id; `obj` sits in a bare one-item
+    # container, and the containers around the open one wait on `outer`
+    items, sep, comma, inner, close, is_dict, ident = iter((obj,)), "", "", "\n", "", False, None
+    outer: list[tuple] = []
+    while True:
+        item = next(items, _END)
+        while item is _END:
+            emit(close)
+            open_ids.discard(ident)
+            if not outer:
+                return "".join(parts)
+            items, comma, inner, close, is_dict, ident = outer.pop()
+            sep = comma
+            item = next(items, _END)
+        if is_dict:
+            key, value = item
+            emit(sep + _encode_str(key) + ": ")
+        else:
+            value = item
+            emit(sep)
+        sep, nl = comma, inner
+        kind = type(value)
+        if kind is str:
+            emit(_encode_str(value))
+        elif kind is int:
+            emit(int.__repr__(value))
+        elif kind not in _CONTAINERS and (text := _scalar_text(value)) is not None:
+            emit(text)
+        elif not value:
+            emit("{}" if isinstance(value, dict) else "[]")
+        else:
+            text = ""
+            if not isinstance(value, dict) and (encode := _LIST_ITEM_ENCODERS.get(type(value[0]))):
+                key = (id(value), nl)
+                text = lists.get(key)
+                if text is None:
+                    text = lists[key] = _scalar_list(value, encode, nl)
+                    keep.append(value)
+            if text:
+                emit(text)
+                continue
+            if id(value) in open_ids:
+                raise ValueError("Circular reference detected")
+            outer.append((items, comma, inner, close, is_dict, ident))
+            ident = id(value)
+            open_ids.add(ident)
+            is_dict = isinstance(value, dict)
+            items = iter(sorted(value.items()) if is_dict else value)
+            sep = inner = nl + "  "
+            comma = "," + inner
+            close = nl + ("}" if is_dict else "]")
+            emit("{" if is_dict else "[")
+
+
 def emit_model(model: ModelFile) -> str:
-    return json.dumps(model_to_json(model), indent=2, sort_keys=True) + "\n"
+    return _canonical_json(model_to_json(model)) + "\n"
 
 
 def load_model(path) -> ModelFile:

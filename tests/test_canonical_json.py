@@ -1,0 +1,154 @@
+"""The one JSON emitter: byte-identical to ``json.dumps(obj, indent=2, sort_keys=True)``."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from monograph.cli import main
+from monograph.model_io import _canonical_json
+
+from helpers import FIXTURES
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(alphabet=st.characters(codec="utf-8"))
+    | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "é", "☃", "\U0001f600"])
+)
+json_values = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(st.integers())
+        | st.lists(st.booleans())
+        | st.lists(st.text()).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values)
+def test_equals_json_dumps(obj):
+    assert _canonical_json(obj) == reference(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(), min_size=1), st.lists(st.text(), min_size=1), json_values)
+def test_one_list_shared_at_two_depths(ints, texts, other):
+    # a cache keyed by the list's id alone would reuse the text of the
+    # first depth at the second
+    obj = {"a": ints, "b": [ints, {"c": [texts, ints]}], "d": texts, "e": [other, other]}
+    assert _canonical_json(obj) == reference(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": [], "b": {}, "c": ()},
+        [[True, False], [1, 0], [1, True], [True, 1], ["1", 1], [None, None]],
+        {"é": "☃", 'q"uote': "a\\b\n\t\x01"},
+        [1.5, -0.0, 1e300, float("inf"), float("-inf"), float("nan")],
+        ([1, 2], (3, 4), [[5], (6,)]),
+    ],
+)
+def test_edge_cases_equal_json_dumps(obj):
+    assert _canonical_json(obj) == reference(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{(1, 2): "tuple key"}, {"a": 1, 2: "b"}, {"s": {1, 2}}, [object()], {"x": [1, b"bytes"]}],
+    ids=["tuple-key", "mixed-keys", "set", "object", "bytes"],
+)
+def test_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        reference(obj)
+    with pytest.raises(TypeError):
+        _canonical_json(obj)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, True, None])
+def test_refuses_keys_that_json_dumps_would_turn_into_strings(key):
+    with pytest.raises(TypeError):
+        _canonical_json({key: 0})
+
+
+def test_a_circular_value_is_refused():
+    loop = [1]
+    loop.append({"back": loop})
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        _canonical_json(loop)
+
+
+def test_deep_nesting_does_not_recurse():
+    obj = []
+    for _ in range(5000):
+        obj = [obj]
+    text = _canonical_json(obj)
+    assert text.count("[") == 5001 and text.endswith("]")
+
+
+# ------------------------------------------------ the CLI's outputs are fixed points
+
+
+def _json_calls():
+    graphs = sorted(FIXTURES.glob("*.json"))
+    calls = [["loops", path, "--json"] for path in graphs]
+    calls += [["homology", path, "--bound", "2", "--json"] for path in graphs]
+    for motif in ("positive-autoregulation", "negative-feedback-loop", "branch-pm", "gate-pp"):
+        for host in ("host.json", "homework.json"):
+            calls.append(["motif", "--motif", motif, "--host", FIXTURES / host, "--max-path-len", "3", "--json"])
+    calls.append(["emergence", "--left", FIXTURES / "glue_red.json", "--right", FIXTURES / "glue_blue.json", "--json"])
+    calls.append(["emergence", "--left", FIXTURES / "noncancellative_left.json", "--right", FIXTURES / "noncancellative_right.json", "--json"])
+    calls.append(["decompose", FIXTURES / "q4.json", "--chain", '{"e1": 2, "e2": 1, "e3": 2, "e4": 1}', "--json"])
+    return [[str(a) for a in argv] for argv in calls]
+
+
+def _is_fixed_point(text: str) -> bool:
+    return text == reference(json.loads(text)) + "\n"
+
+
+@pytest.mark.parametrize("argv", _json_calls(), ids=lambda argv: " ".join(a.rpartition("/")[2] for a in argv))
+def test_json_stdout_is_a_fixed_point(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out and _is_fixed_point(out)
+
+
+def test_written_model_files_are_fixed_points(capsys, tmp_path):
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"source": "SIGN", "target": "SIGN0", "map": ["+", "-"]}))
+    # a table algebra is written out element by element
+    table = {"kind": "finite-table", "elements": ["+", "-", "0"], "mul_table": [0, 1, 2, 1, 0, 2, 2, 2, 2], "unit": 0}
+    table_hom = tmp_path / "table_hom.json"
+    table_hom.write_text(json.dumps({"source": "SIGN", "target": table, "map": ["+", "-"]}))
+    pair = [FIXTURES / "open_left.json", FIXTURES / "open_right.json"]
+    calls = {
+        "compose.json": ["compose", *pair],
+        "tensor.json": ["tensor", *pair],
+        "tensor-glue.json": ["tensor", FIXTURES / "glue_red.json", FIXTURES / "glue_blue.json"],
+        "collapse.json": ["change-labels", FIXTURES / "homework.json", "--hom", "collapse"],
+        "collapse-nat.json": ["change-labels", FIXTURES / "q4.json", "--hom", "collapse"],
+        "hom-file.json": ["change-labels", FIXTURES / "homework.json", "--hom-file", hom],
+        "table.json": ["change-labels", FIXTURES / "homework.json", "--hom-file", table_hom],
+    }
+    for name, argv in calls.items():
+        out = tmp_path / name
+        assert main([str(a) for a in argv] + ["--out", str(out)]) == 0, name
+        assert _is_fixed_point(out.read_text(encoding="utf-8")), name
+    capsys.readouterr()

@@ -459,6 +459,26 @@ class TestDecompose:
         )
         assert code == 1 and "not a cycle" in err
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_more_parts_than_the_guard_is_one_error_line(self, capsys, tmp_path, as_json):
+        path = tmp_path / "self_loop.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": 1,
+                    "graph": {
+                        "algebra": "NatAdd",
+                        "vertices": [{"id": "v"}],
+                        "edges": [{"id": "e", "src": "v", "tgt": "v", "label": 1}],
+                    },
+                }
+            )
+        )
+        argv = ["decompose", path, "--chain", '{"e": 99999999999}'] + (["--json"] if as_json else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out
+        assert err == "error: decomposition into 99999999999 loops > guard 10^6\n"
+
     def test_unknown_edge_id(self, capsys):
         code, _, err = run(
             capsys, "decompose", FIXTURES / "q4.json", "--chain", json.dumps({"e9": 1}),
@@ -486,6 +506,27 @@ class TestMotifCli:
         assert code == 0
         payload = json.loads(out)
         assert {"vertex_map": [0], "edge_paths": [[0, 1, 7]], "grades": ["+"]} in payload["matches"]
+
+    def test_text_mode_prints_one_line_per_match(self, capsys):
+        code, out, _ = run(
+            capsys, "motif", "--motif", "negative-feedback-loop",
+            "--host", FIXTURES / "homework.json", "--max-path-len", "2",
+        )
+        assert code == 0
+        assert out == (
+            "3 match(es)\n"
+            "  match 0: v -> effort, w -> quality of work; paths [effort-quality], [quality-grades, grades-effort]\n"
+            "  match 1: v -> effort, w -> grades; paths [effort-quality, quality-grades], [grades-effort]\n"
+            "  match 2: v -> quality of work, w -> grades; paths [quality-grades], [grades-effort, effort-quality]\n"
+        )
+
+    def test_text_mode_shows_empty_paths_and_truncation(self, capsys):
+        code, out, _ = run(
+            capsys, "motif", "--motif", "positive-autoregulation",
+            "--host", FIXTURES / "host.json", "--max-path-len", "3", "--max-results", "2",
+        )
+        assert code == 0
+        assert out == "2 match(es) (truncated)\n  match 0: v -> A; paths []\n  match 1: v -> A; paths [ab, bc, ca]\n"
 
     def test_motif_from_file(self, capsys, tmp_path):
         motif_path = tmp_path / "motif.json"

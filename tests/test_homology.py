@@ -161,6 +161,17 @@ class TestDecompose:
             total = mg.chain_add(total, loop.indicator())
         assert total == full
 
+    def test_more_parts_than_the_guard_is_refused_before_building_them(self):
+        g = mg.Graph(("v",), (0,), (0,))
+        assert len(mg.decompose_cycle(mg.nat_chain({0: 10**6}), g)) == 10**6
+        with pytest.raises(ValueError, match=r"^decomposition into 99999999999 loops > guard 10\^6$"):
+            mg.decompose_cycle(mg.nat_chain({0: 99999999999}), g)
+
+    def test_the_guard_counts_every_loop_with_multiplicity(self):
+        # two loops of 600000 each: neither alone passes the guard
+        with pytest.raises(ValueError, match=r"^decomposition into 1200000 loops > guard 10\^6$"):
+            mg.decompose_cycle(mg.nat_chain({0: 600000, 1: 600000, 2: 600000, 3: 600000}), q4())
+
     def test_non_cycle_is_rejected(self):
         with pytest.raises(ValueError):
             mg.decompose_cycle(mg.nat_chain({0: 1}), g2())
