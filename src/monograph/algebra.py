@@ -367,59 +367,108 @@ def _witnesses(algebra: LabelAlgebra, arity: int, rng_seed: int, samples: int):
     builtin's seeded sample."""
     if isinstance(algebra, TableAlgebra):
         return itertools.product(algebra.iter_elements(), repeat=arity)
+    return zip(*_sample_columns(algebra, arity, rng_seed, samples))
+
+
+def _sample_columns(algebra: BuiltinAlgebra, arity: int, rng_seed: int, samples: int) -> tuple:
+    """The i-th values of the runs of `arity` consecutive values of a
+    builtin's seeded sample, for each i < `arity`."""
     rng = random.Random(rng_seed)
     draws = [algebra.sample(rng) for _ in range(samples)]
-    return zip(*(draws[i:] for i in range(arity)))
+    return tuple(draws[i:] for i in range(arity))
 
 
 class _Rows:
-    """An operation a row at a time over the values `zs` of its last argument,
-    each result a tuple: ``row`` is op(a, z), ``col`` op(z, c), ``then``
-    op(a, inner(b, z)) and ``sum`` op(inner(r, z), inner(s, z))."""
+    """Both sides of a law, one block per case, for an operation given as a
+    callable (a builtin's).  A case is one window of the seeded sample, and
+    the columns ``xs``, ``ys``, ``zs`` hold the window's first, second and
+    third values, so the maps below run over them in step and each block
+    holds one value.  ``row``/``col`` are op(a, x)/op(x, a) over ``xs``;
+    per case, ``pairs`` is op(x, y), ``flips`` op(y, x), ``thens``
+    op(x, inner(y, z)), ``firsts`` op(inner(x, y), z), ``spreads``
+    op(inner(x, y), inner(x, z)) and ``sums`` op(inner(x, z), inner(y, z))."""
 
     def __init__(self, op: Callable[[Element, Element], Element]):
         self.op = op
 
-    def row(self, a, zs):
-        return tuple(map(self.op, itertools.repeat(a), zs))
+    def row(self, a, xs):
+        return map(self.op, itertools.repeat(a), xs)
 
-    def col(self, zs, c):
-        return tuple(map(self.op, zs, itertools.repeat(c)))
+    def col(self, a, xs):
+        return map(self.op, xs, itertools.repeat(a))
 
-    def then(self, a, inner, b, zs):
-        return tuple(map(self.op, itertools.repeat(a), inner.row(b, zs)))
+    def pairs(self, xs, ys):
+        return zip(map(self.op, xs, ys))
 
-    def sum(self, inner, r, s, zs):
-        return tuple(map(self.op, inner.row(r, zs), inner.row(s, zs)))
+    def flips(self, xs, ys):
+        return zip(map(self.op, ys, xs))
+
+    def thens(self, inner, xs, ys, zs):
+        return zip(map(self.op, xs, map(inner.op, ys, zs)))
+
+    def firsts(self, inner, xs, ys, zs):
+        return zip(map(self.op, map(inner.op, xs, ys), zs))
+
+    def spreads(self, inner, xs, ys, zs):
+        return zip(map(self.op, map(inner.op, xs, ys), map(inner.op, xs, zs)))
+
+    def sums(self, inner, xs, ys, zs):
+        return zip(map(self.op, map(inner.op, xs, zs), map(inner.op, ys, zs)))
 
 
-class _TableRows(_Rows):
-    """`_Rows` of a square row-major table over every element, looked up in C:
-    in its rows and columns, or by item getters that pick by a row (which
-    needs two elements: over one, an item getter returns a bare value)."""
+class _Table:
+    """`_Rows` of a square row-major table.  A case fixes the first argument
+    x, and its block covers every choice of the others, (y, z) in
+    lexicographic order.  Each block takes a few C calls.  Up
+    to 256 elements, rows and columns are ``bytes``: a gather is
+    ``bytes.translate`` through a row padded to 256 bytes, and blocks are
+    joined by ``b"".join``.  Past that they are tuples, and a gather is an
+    item getter.  ``gets[x]`` picks from a sequence the items row x names."""
 
     def __init__(self, table: tuple):
         n = math.isqrt(len(table))
-        self.rows = tuple(tuple(table[a * n : (a + 1) * n]) for a in range(n))
-        self.cols = tuple(tuple(table[c::n]) for c in range(n))
-        self.picks = tuple(operator.itemgetter(*row) for row in self.rows)
+        # pick(indices, through) is through[i] for each i of indices
+        if n <= 256:
+            code, pad, self.pick, self.join = bytes, bytes(256 - n), bytes.translate, b"".join
+        else:
+            code, pad, self.join = tuple, (), lambda blocks: tuple(itertools.chain.from_iterable(blocks))
+            self.pick = lambda indices, through: operator.itemgetter(*indices)(through)
+        self.flat = code(table)
+        self.rows = tuple(map(self.flat.__getitem__, map(slice, range(0, n * n, n), range(n, n * n + 1, n))))
+        strides = tuple(map(slice, range(n), itertools.repeat(None), itertools.repeat(n)))
+        self.cols = tuple(map(self.flat.__getitem__, strides))
+        # the columns of a block, plus an empty slice, so never one bare column
+        self.transpose = operator.itemgetter(*strides, slice(0, 0))
+        self.trows = tuple(map(operator.add, self.rows, itertools.repeat(pad)))
+        # over one index an item getter returns a bare value, not a tuple
+        one = operator.itemgetter(slice(1))
+        self.gets = tuple(itertools.starmap(operator.itemgetter, self.rows)) if n > 1 else (one,)
 
-    def row(self, a, zs):
+    def row(self, a, xs):
         return self.rows[a]
 
-    def col(self, zs, c):
-        return self.cols[c]
+    def col(self, a, xs):
+        return self.cols[a]
 
-    def then(self, a, inner, b, zs):
-        return inner.picks[b](self.rows[a])
+    def pairs(self, *_):
+        return self.rows
 
-    def sum(self, inner, r, s, zs):
-        return tuple(map(operator.getitem, inner.picks[r](self.rows), inner.rows[s]))
+    def flips(self, *_):
+        return self.cols
 
+    def thens(self, inner, *_):
+        return map(self.pick, itertools.repeat(inner.flat), self.trows)
 
-def _rows(op: Callable[[Element, Element], Element], table: Optional[tuple]) -> _Rows:
-    """`op` a row at a time, by lookups in its `table` if it has one of two elements or more."""
-    return _TableRows(table) if table is not None and len(table) > 1 else _Rows(op)
+    def firsts(self, inner, *_):
+        return (self.join(get(self.rows)) for get in inner.gets)
+
+    def spreads(self, inner, *_):
+        picks = zip(inner.rows, inner.gets)
+        return (self.join(map(self.pick, itertools.repeat(xys), get(self.trows))) for xys, get in picks)
+
+    def sums(self, inner, *_):
+        # computed over (z, y), where each z is one pick, then transposed
+        return (self.join(self.transpose(self.join(map(self.pick, inner.cols, get(self.trows))))) for get in inner.gets)
 
 
 def validate_algebra(algebra: LabelAlgebra, rng_seed: int = 0, samples: int = 50) -> ValidationReport:
@@ -431,10 +480,16 @@ def validate_algebra(algebra: LabelAlgebra, rng_seed: int = 0, samples: int = 50
     same for add (commutativity always), both distributive laws per triple
     and absorption; then cancellativity if declared.
 
-    Each law is checked a row at a time: its leading arguments are fixed and
-    both sides are computed over every value of the last argument (each
-    element of a table, the next draw of a builtin's seeded sample).  Only a
-    row whose sides differ is scanned, so witnesses come in lexicographic order.
+    Each law is checked a block at a time.  For a table, a block fixes the
+    law's first argument, x, and both sides are computed over every
+    choice of the others in a few C calls over the table's rows
+    and columns, held as ``bytes``: gathers by ``bytes.translate``, joins
+    by ``b"".join``.  So a law costs n interpreter steps.  ``bytes`` index
+    at most 256 elements; larger tables hold tuples, gathered by item
+    getters.  For a builtin, a block is one window of consecutive values
+    of its seeded sample.  Only a block whose sides differ is scanned, so
+    witnesses come in lexicographic order, the two distributive laws of
+    one triple left first.
     """
     if isinstance(algebra, TableAlgebra):
         report = _table_structure(algebra)
@@ -442,74 +497,96 @@ def validate_algebra(algebra: LabelAlgebra, rng_seed: int = 0, samples: int = 50
             return report  # axiom checks need a well-formed table
         every = tuple(range(algebra.size))
 
-        def cases(k: int):
-            return zip(_witnesses(algebra, k, rng_seed, samples), itertools.repeat(every))
+        def columns(arity: int):
+            return (every,) * arity
 
-        tables = algebra.mul_table, algebra.add_table
+        def cases(arity: int):
+            return zip(zip(every), itertools.repeat(columns(arity - 1)))
+
+        M = _Table(algebra.mul_table)
+        A = algebra.is_rig and _Table(algebra.add_table)
     else:
         report = ValidationReport(subject=f"builtin algebra {algebra.builtin_id}")
 
-        def cases(k: int):
-            return ((w[:-1], w[-1:]) for w in _witnesses(algebra, k + 1, rng_seed, samples))
+        def columns(arity: int):
+            return _sample_columns(algebra, arity, rng_seed, samples)
 
-        tables = None, None
+        def cases(arity: int):
+            return ((w[:1], tuple(zip(w[1:]))) for w in _witnesses(algebra, arity, rng_seed, samples))
+
+        M = _Rows(algebra.mul)
+        A = algebra.is_rig and _Rows(algebra.add)
     t = algebra.label_text
 
-    def check(k: int, sides, *clauses) -> None:
-        """For every k leading arguments compare the rows ``sides(*prefix, zs)``
-        gives for each clause ``(code, message)`` of a law; where they differ,
-        report each witness whose message is not empty."""
-        for prefix, zs in cases(k):
-            lhs, rhs = sides(*prefix, zs)
-            if lhs != rhs:
-                for i, z in enumerate(zs):
-                    for l, r, (code, message) in zip(lhs, rhs, clauses):
-                        if l[i] != r[i] and (text := message(*prefix, z)):
-                            report.add(AXIOM, code, text, (*prefix, z))
+    def holds(arity: int, sides) -> bool:
+        lhs, rhs = sides(*columns(arity))
+        return all(map(operator.eq, zip(*lhs), zip(*rhs)))
 
-    def monoid(op, P: _Rows, unit, label: str) -> None:
+    def check(arity: int, sides, *clauses) -> bool:
+        """Compare, case by case, the blocks ``sides(*columns(arity))``
+        gives for each clause ``(code, message)`` of a law; where they
+        differ, report each witness whose message is not empty.  True when
+        no block differs."""
+        if holds(arity, sides):
+            return True
+        lhs, rhs = sides(*columns(arity))
+        for (prefix, rest), l, r in zip(cases(arity), zip(*lhs), zip(*rhs)):
+            if l != r:
+                found = []
+                for c, (lb, rb) in enumerate(zip(l, r)):
+                    found += zip(itertools.compress(itertools.count(), map(operator.ne, lb, rb)), itertools.repeat(c))
+                for i, c in sorted(found):
+                    args = ()
+                    for col in reversed(rest):  # the i-th tuple of product(*rest)
+                        i, j = divmod(i, len(col))
+                        args = (col[j], *args)
+                    code, message = clauses[c]
+                    if text := message(*prefix, *args):
+                        report.add(AXIOM, code, text, (*prefix, *args))
+        return False
+
+    def monoid(P, unit, label: str) -> None:
         check(
-            0,
-            lambda xs: ((tuple(zip(P.row(unit, xs), P.col(xs, unit))),), (tuple(zip(xs, xs)),)),
+            1,
+            lambda xs: ((zip(zip(P.row(unit, xs), P.col(unit, xs))),), (zip(zip(xs, xs)),)),
             ("unit", lambda x: f"{label}: {t(unit)} is not a unit at {t(x)}"),
         )
         check(
-            2,
-            lambda x, y, zs: ((P.row(op(x, y), zs),), (P.then(x, P, y, zs),)),
+            3,
+            lambda *xyz: ((P.firsts(P, *xyz),), (P.thens(P, *xyz),)),
             ("associativity", lambda x, y, z: f"{label}: ({t(x)}*{t(y)})*{t(z)} != {t(x)}*({t(y)}*{t(z)})"),
         )
 
-    def commutativity(P: _Rows, label: str, sign: str) -> None:
-        check(
-            1,
-            lambda x, ys: ((P.row(x, ys),), (P.col(ys, x),)),
+    def commutativity(P, label: str, sign: str) -> bool:
+        return check(
+            2,
+            lambda *xy: ((P.pairs(*xy),), (P.flips(*xy),)),
             # each unordered pair once
             ("commutativity", lambda x, y: x < y and f"{label}: {t(x)}{sign}{t(y)} != {t(y)}{sign}{t(x)}"),
         )
 
-    mul = algebra.mul
-    M = _rows(mul, tables[0])
-    monoid(mul, M, algebra.one, "mul")
-    if algebra.flags.commutative:
-        commutativity(M, "mul", "*")
+    monoid(M, algebra.one, "mul")
+    # on a table, a commutative mul makes right distributivity follow from
+    # left: (r+s)*u = u*(r+s) = u*r + u*s = r*u + s*u
+    right_from_left = algebra.flags.commutative and commutativity(M, "mul", "*") and isinstance(M, _Table)
     if algebra.is_rig:
-        add, zero = algebra.add, algebra.zero
-        A = _rows(add, tables[1])
-        monoid(add, A, zero, "add")
+        zero = algebra.zero
+        monoid(A, zero, "add")
         # rig addition is commutative by definition, whatever the flags say
         commutativity(A, "add", "+")
+        if not (right_from_left and holds(3, lambda *rsu: ((M.thens(A, *rsu),), (A.spreads(M, *rsu),)))):
+            check(
+                3,
+                lambda *rsu: (
+                    (M.thens(A, *rsu), M.firsts(A, *rsu)),
+                    (A.spreads(M, *rsu), A.sums(M, *rsu)),
+                ),
+                ("distributivity-left", lambda r, s, u: f"{t(r)}*({t(s)}+{t(u)}) != {t(r)}*{t(s)} + {t(r)}*{t(u)}"),
+                ("distributivity-right", lambda r, s, u: f"({t(r)}+{t(s)})*{t(u)} != {t(r)}*{t(u)} + {t(s)}*{t(u)}"),
+            )
         check(
-            2,
-            lambda r, s, us: (
-                (M.then(r, A, s, us), M.row(add(r, s), us)),
-                (A.then(mul(r, s), M, r, us), A.sum(M, r, s, us)),
-            ),
-            ("distributivity-left", lambda r, s, u: f"{t(r)}*({t(s)}+{t(u)}) != {t(r)}*{t(s)} + {t(r)}*{t(u)}"),
-            ("distributivity-right", lambda r, s, u: f"({t(r)}+{t(s)})*{t(u)} != {t(r)}*{t(u)} + {t(s)}*{t(u)}"),
-        )
-        check(
-            0,
-            lambda xs: ((tuple(zip(M.row(zero, xs), M.col(xs, zero))),), (((zero, zero),) * len(xs),)),
+            1,
+            lambda xs: ((zip(zip(M.row(zero, xs), M.col(zero, xs))),), (zip(((zero, zero),) * len(xs)),)),
             ("absorption", lambda x: f"0*{t(x)} or {t(x)}*0 is not 0"),
         )
 
@@ -546,7 +623,7 @@ def _table_structure(a: TableAlgebra) -> ValidationReport:
                 "non-square",
                 f"{label} table has {len(table)} entries, expected {n * n}",
             )
-        elif not all(map(isinstance, table, itertools.repeat(int))) or min(table) < 0 or max(table) >= n:
+        elif not all(map(isinstance, table, itertools.repeat(int))) or not set(table) <= set(range(n)):
             bad = next(v for v in table if not isinstance(v, int) or not (0 <= v < n))
             report.add(STRUCTURE, "out-of-range", f"{label} table entry {bad!r} is not an element index")
     if not isinstance(a.unit, int) or not (0 <= a.unit < n):

@@ -243,6 +243,8 @@ def cmd_emergence(args) -> int:
     glued = glue(left, right)
     report = emergence_report(glued)
     algebra = glued.composite.algebra
+    # the glued composite is in no file, so its edges have no file ids:
+    # e<i> is its i-th edge, the left graph's edges first, in file order
     rows = [
         {
             "edges": [f"e{e}" for e in row.loop.edges],

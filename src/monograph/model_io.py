@@ -105,9 +105,10 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
             return None
         _require(isinstance(table, list), "bad-table", f"{key} must be a flat row-major list")
         _require(len(table) == n * n, "bad-table", f"{key} has {len(table)} entries, expected {n * n}")
-        for v in table:
-            if not is_index(v):
-                raise ModelFormatError("bad-table", f"{key} entry {v!r} is not an element index")
+        # checked in C; only a failure looks for the first bad entry
+        if table and not (set(map(type, table)) <= {int} and min(table) >= 0 and max(table) < n):
+            bad = next(v for v in table if not is_index(v))
+            raise ModelFormatError("bad-table", f"{key} entry {bad!r} is not an element index")
         return tuple(table)
 
     mul_table = read_table("mul_table", required=True)

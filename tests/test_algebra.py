@@ -1,6 +1,7 @@
 """Label algebra construction, validation, and homomorphisms."""
 
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
-from monograph.validation import AXIOM, STRUCTURE
+from monograph.validation import AXIOM, STRUCTURE, Violation
 
 from helpers import (
     BOOL,
@@ -431,8 +432,69 @@ class TestRowChecksMatchTheOracle:
         n = rig.size
         calls.clear()
         mg.validate_algebra(rig)
-        # about 20 n^3 calls when every triple is checked with scalar calls
-        assert 0 < len(calls) <= 8 * n * n
+        # about 20 n^3 calls when every triple is checked with scalar calls;
+        # a table's laws are checked by lookups, with next to no calls
+        assert len(calls) <= 8 * n
+        rig.mul(1, 2), rig.add(1, 2)
+        assert len(calls) >= 2  # the counting patch is live
+
+
+# lawful 16-element rigs: one commutative, one not
+SIXTEEN_ELEMENT_RIGS = [
+    mg.product_algebra(S_RIG, S_RIG),
+    mg.product_algebra(BOOL, mg.power_rig(mg.table_algebra(["1", "a", "b"], [[0, 1, 2], [1, 1, 1], [2, 2, 2]], unit=0))),
+]
+
+
+@st.composite
+def sixteen_element_mutants(draw):
+    """A lawful 16-element rig with one to three table entries changed, now
+    and then its unit or zero too, and random declared flags."""
+    rig = draw(st.sampled_from(SIXTEEN_ELEMENT_RIGS))
+    n = rig.size
+    index = st.integers(min_value=0, max_value=n - 1)
+    tables = {"mul": list(rig.mul_table), "add": list(rig.add_table)}
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        tables[draw(st.sampled_from(sorted(tables)))][draw(st.integers(min_value=0, max_value=n * n - 1))] = draw(index)
+    unit = draw(index) if draw(st.integers(min_value=0, max_value=3)) == 0 else rig.unit
+    zero = draw(index) if draw(st.integers(min_value=0, max_value=3)) == 0 else rig.zero_index
+    flags = mg.Flags(commutative=draw(st.booleans()), cancellative=draw(st.booleans()))
+    return mg.TableAlgebra(rig.elements, tuple(tables["mul"]), unit, tuple(tables["add"]), zero, flags)
+
+
+class TestBlockChecksMatchTheOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(sixteen_element_mutants())
+    def test_sixteen_element_mutants(self, algebra):
+        assert_same_report(algebra)
+
+    def test_lawful_sixteen_element_rigs(self):
+        for rig in SIXTEEN_ELEMENT_RIGS:
+            assert assert_same_report(rig).ok
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_table_of_one_or_two_elements(self, n):
+        names = [str(i) for i in range(n)]
+        tables = list(itertools.product(range(n), repeat=n * n))
+        for mul, unit, flags in itertools.product(tables, range(n), [mg.Flags(), mg.Flags(True, True)]):
+            assert_same_report(mg.TableAlgebra(names, mul, unit, flags=flags))
+            for add, zero in itertools.product(tables, range(n)):
+                assert_same_report(mg.TableAlgebra(names, mul, unit, add, zero, flags))
+
+    def test_257_elements_take_the_tuple_path(self):
+        z257 = cyclic_group(257)
+        assert isinstance(mg.algebra._Table(z257.mul_table).flat, tuple)
+        assert mg.validate_algebra(z257).ok
+        n = z257.size
+        mul = list(z257.mul_table)
+        mul[2 * n + 3] = 0  # 2+3 was 5
+        report = mg.validate_algebra(dataclasses.replace(z257, mul_table=tuple(mul)))
+        # (1+1)+3 reads the changed entry and 1+(1+3) = 5; nothing smaller does
+        assert report.violations[0] == Violation(AXIOM, "associativity", "mul: (1*1)*3 != 1*(1*3)", (1, 1, 3))
+        assert {v.code for v in report.violations} == {"associativity", "commutativity", "cancellativity"}
+        assert [v.witness for v in report.violations if v.code == "commutativity"] == [(2, 3)]
+        # column 3 now holds 0 twice: 2+3 and 254+3
+        assert report.violations[-1] == Violation(AXIOM, "cancellativity", "2+3 = 254+3 but 2 != 254", (2, 254, 3))
 
 
 class TestHoms:

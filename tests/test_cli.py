@@ -266,6 +266,22 @@ class TestEmergence:
         payload = json.loads(out)
         assert payload["inherited"] == 0 and payload["emergent"] >= 1
 
+    def test_edges_are_named_by_their_place_in_the_composite(self, capsys):
+        # e0-e6 are glue_red's edges in file order (bd, ab, ah, de, ca, cd,
+        # gc), e7-e12 glue_blue's (ef, fg, fb, ib, hf, hi)
+        code, out, _ = run(
+            capsys, "emergence", "--left", FIXTURES / "glue_red.json",
+            "--right", FIXTURES / "glue_blue.json", "--json",
+        )
+        assert code == 0
+        assert [row["edges"] for row in json.loads(out)["loops"]] == [
+            ["e0", "e3", "e7", "e8", "e6", "e4", "e1"],
+            ["e0", "e3", "e7", "e8", "e6", "e4", "e2", "e12", "e10"],
+            ["e0", "e3", "e7", "e9"],
+            ["e2", "e11", "e8", "e6", "e4"],
+            ["e3", "e7", "e8", "e6", "e5"],
+        ]
+
     def test_monicity_violation_fails(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "emergence", "--left", FIXTURES / "open_left.json",

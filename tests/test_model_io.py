@@ -319,6 +319,18 @@ BROKEN_MODELS = {
         _table_file(mul_table=[0, 1, 1, 1], add_table=[0, 1, True, 1], zero=0),
         ("bad-table", "[bad-table] add_table entry True is not an element index"),
     ),
+    "table entry negative": (
+        _table_file(mul_table=[0, 1, -1, 1]),
+        ("bad-table", "[bad-table] mul_table entry -1 is not an element index"),
+    ),
+    "table entry float": (
+        _table_file(mul_table=[0, 1.0, 1, 1]),
+        ("bad-table", "[bad-table] mul_table entry 1.0 is not an element index"),
+    ),
+    "first of several bad table entries": (
+        _table_file(mul_table=[0, 5, "x", -1]),
+        ("bad-table", "[bad-table] mul_table entry 5 is not an element index"),
+    ),
 }
 
 
