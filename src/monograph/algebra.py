@@ -623,12 +623,13 @@ def _table_structure(a: TableAlgebra) -> ValidationReport:
                 "non-square",
                 f"{label} table has {len(table)} entries, expected {n * n}",
             )
-        elif not all(map(isinstance, table, itertools.repeat(int))) or not set(table) <= set(range(n)):
-            bad = next(v for v in table if not isinstance(v, int) or not (0 <= v < n))
+        # checked in C; a bool (an int subclass) is no element index
+        elif not set(map(type, table)) <= {int} or not set(table) <= set(range(n)):
+            bad = next(v for v in table if not a.contains(v))
             report.add(STRUCTURE, "out-of-range", f"{label} table entry {bad!r} is not an element index")
-    if not isinstance(a.unit, int) or not (0 <= a.unit < n):
+    if not a.contains(a.unit):
         report.add(STRUCTURE, "out-of-range", f"unit index {a.unit!r} is not an element index")
-    if a.add_table is not None and (not isinstance(a.zero_index, int) or not (0 <= a.zero_index < n)):
+    if a.add_table is not None and not a.contains(a.zero_index):
         report.add(STRUCTURE, "out-of-range", f"zero index {a.zero_index!r} is not an element index")
     if a.add_table is None and a.zero_index is not None:
         report.add(STRUCTURE, "zero-without-add", "zero declared but no addition table")

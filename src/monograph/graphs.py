@@ -25,7 +25,7 @@ class Graph:
             raise ValueError("edge source and target lists differ in length")
         n = len(self.vertex_names)
         for v in itertools.chain(self.edge_src, self.edge_tgt):
-            if not isinstance(v, int) or not (0 <= v < n):
+            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                 raise ValueError(f"edge endpoint {v!r} is not a vertex id")
         # Per vertex, the ids of the edges leaving (entering) it, ascending.
         # Not fields, so equality and hashing still see only the fields; set

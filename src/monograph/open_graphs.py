@@ -5,7 +5,7 @@ no edges) whose elements point at vertices through leg functions.  Feet are
 matched by element name when composing.  Composition glues the shared foot
 by a vertex quotient; tensoring lays graphs side by side.  The monoidal
 laws only hold up to label-respecting isomorphism, which `iso_check`
-decides for desk-sized graphs.
+decides by backtracking, guarded by the vertex placements it tries.
 
 2-morphisms come in three modes (label-preserving, Kleisli, additive),
 listed once in `MORPHISM_MODES`, and compose vertically.  Horizontal
@@ -33,6 +33,7 @@ from .graphs import (
     undirected_components,
     validate_morphism,
 )
+from .homology import _over_guard
 from .paths import KleisliMorphism, compose_kleisli, is_kleisli_morphism
 from .validation import ValidationReport
 
@@ -265,7 +266,8 @@ def compose_2morphisms(outer: OpenGraphMap, inner: OpenGraphMap, mode: str = "se
     return OpenGraphMap(inner.source, outer.target, foot_in, foot_out, composite)
 
 
-ISO_VERTEX_LIMIT = 12
+# candidate placements `iso_check` may try before it gives up
+_ISO_GUARD = 10**6
 
 
 def _as_parts(g) -> tuple[Graph, Optional[tuple], Optional[object]]:
@@ -274,12 +276,29 @@ def _as_parts(g) -> tuple[Graph, Optional[tuple], Optional[object]]:
     return g, None, None
 
 
-def iso_check(g1, g2, max_vertices: int = ISO_VERTEX_LIMIT):
+def _iso_tables(g: Graph, labels, algebra):
+    """Per vertex, its sorted out- and in-edge label texts; per ordered vertex
+    pair (a, b), the edges a -> b sorted by (label text, id), and their texts."""
+    keys = [""] * g.n_edges if labels is None else [algebra.label_text(x) for x in labels]
+    signatures = [
+        (sorted(keys[e] for e in g.out_adjacency[v]), sorted(keys[e] for e in g.in_adjacency[v]))
+        for v in range(g.n_vertices)
+    ]
+    pairs: dict[tuple[int, int], list[int]] = {}
+    for e in sorted(range(g.n_edges), key=lambda e: (keys[e], e)):
+        pairs.setdefault((g.edge_src[e], g.edge_tgt[e]), []).append(e)
+    return signatures, pairs, {pair: [keys[e] for e in edges] for pair, edges in pairs.items()}
+
+
+def iso_check(g1, g2):
     """Label-respecting isomorphism of (labeled) multigraphs by backtracking.
 
-    Returns ``(True, (f0, f1))`` with an explicit vertex and edge bijection,
-    or ``(False, None)``.  Guarded to small graphs; raise the limit at your
-    own risk.
+    Vertices of `g1` are placed in ascending id, each on the first unused
+    vertex of `g2` with the same in/out label signature whose edges to and
+    from the vertices already placed carry the same labels.  Returns
+    ``(True, (f0, f1))`` with an explicit vertex and edge bijection, parallel
+    edges paired by label and then id, or ``(False, None)``.  Raises
+    ValueError past `_ISO_GUARD` placements tried.
     """
     graph1, labels1, alg1 = _as_parts(g1)
     graph2, labels2, alg2 = _as_parts(g2)
@@ -289,64 +308,42 @@ def iso_check(g1, g2, max_vertices: int = ISO_VERTEX_LIMIT):
         return False, None
     if graph1.n_vertices != graph2.n_vertices or graph1.n_edges != graph2.n_edges:
         return False, None
-    if graph1.n_vertices > max_vertices:
-        raise ValueError(f"iso_check limited to {max_vertices} vertices")
-
-    def keys(g: Graph, labels) -> list[str]:
-        return [""] * g.n_edges if labels is None else [alg1.label_text(x) for x in labels]
-
-    keys1, keys2 = keys(graph1, labels1), keys(graph2, labels2)
-
-    def signature(g: Graph, keys: list[str], v: int):
-        outs = sorted(keys[e] for e in g.out_adjacency[v])
-        ins = sorted(keys[e] for e in g.in_adjacency[v])
-        return tuple(outs), tuple(ins)
-
-    sig1 = [signature(graph1, keys1, v) for v in range(graph1.n_vertices)]
-    sig2 = [signature(graph2, keys2, v) for v in range(graph2.n_vertices)]
+    sig1, pairs1, texts1 = _iso_tables(graph1, labels1, alg1)
+    sig2, pairs2, texts2 = _iso_tables(graph2, labels2, alg1)
     if sorted(sig1) != sorted(sig2):
         return False, None
 
     n = graph1.n_vertices
-    assignment: list[Optional[int]] = [None] * n
-    used = [False] * n
+    candidates = [[w for w in range(n) if sig2[w] == s] for s in sig1]
+    f0: list[int] = []
+    untried = [iter(candidates[0])] if n else []  # per vertex being placed, the images left to try
+    tries = 0
+    while len(f0) < n:
+        if not untried:
+            return False, None
+        v = len(f0)
+        for w in untried[-1]:
+            if w in f0:
+                continue
+            tries += 1
+            if tries > _ISO_GUARD:
+                raise ValueError(_over_guard(f"isomorphism search on {n} vertices tried {tries} placements", _ISO_GUARD))
+            f0.append(w)
+            # the edges between v and each placed u, v included, carry the labels of those between the images
+            if all(
+                texts1.get((v, u)) == texts2.get((w, x)) and texts1.get((u, v)) == texts2.get((x, w))
+                for u, x in enumerate(f0)
+            ):
+                if v + 1 < n:
+                    untried.append(iter(candidates[v + 1]))
+                break
+            f0.pop()
+        else:
+            untried.pop()
+            del f0[-1:]  # the vertex before v, if any, tries its next image
 
-    def consistent(v: int, w: int) -> bool:
-        # the edges between v and the vertices assigned so far (v included)
-        # must match, keyed by far end and label, those between w and the images
-        image = assignment[:v] + [w]
-        for adjacency1, adjacency2, far1, far2 in (
-            (graph1.out_adjacency, graph2.out_adjacency, graph1.edge_tgt, graph2.edge_tgt),
-            (graph1.in_adjacency, graph2.in_adjacency, graph1.edge_src, graph2.edge_src),
-        ):
-            near1 = sorted((image[far1[e]], keys1[e]) for e in adjacency1[v] if far1[e] <= v)
-            near2 = sorted((far2[e], keys2[e]) for e in adjacency2[w] if far2[e] in image)
-            if near1 != near2:
-                return False
-        return True
-
-    def backtrack(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if not used[w] and sig1[v] == sig2[w] and consistent(v, w):
-                assignment[v] = w
-                used[w] = True
-                if backtrack(v + 1):
-                    return True
-                assignment[v] = None
-                used[w] = False
-        return False
-
-    if not backtrack(0):
-        return False, None
-
-    f0 = tuple(assignment)  # type: ignore[arg-type]
-    # pair up parallel edges between matched endpoints by label, then id
     f1 = [0] * graph1.n_edges
-    for a in range(n):
-        edges1 = sorted(graph1.out_adjacency[a], key=lambda e: (f0[graph1.edge_tgt[e]], keys1[e], e))
-        edges2 = sorted(graph2.out_adjacency[f0[a]], key=lambda e: (graph2.edge_tgt[e], keys2[e], e))
-        for e1, e2 in zip(edges1, edges2):
+    for (a, b), edges in pairs1.items():
+        for e1, e2 in zip(edges, pairs2[f0[a], f0[b]]):
             f1[e1] = e2
-    return True, (f0, tuple(f1))
+    return True, (tuple(f0), tuple(f1))

@@ -9,10 +9,11 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Optional
 
 import monograph as mg
 from monograph.homology import LOOP_CAP
+from monograph.open_graphs import _as_parts
 from monograph.validation import AXIOM, STRUCTURE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -380,6 +381,10 @@ def oracle_table_structure(a: mg.TableAlgebra) -> mg.ValidationReport:
     """Structural checks of a table algebra, one entry at a time."""
     report = mg.ValidationReport(subject="finite-table algebra")
     n = a.size
+
+    def is_index(v) -> bool:
+        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
     if n == 0:
         report.add(STRUCTURE, "empty", "algebra has no elements")
         return report
@@ -392,12 +397,12 @@ def oracle_table_structure(a: mg.TableAlgebra) -> mg.ValidationReport:
         if len(table) != n * n:
             report.add(STRUCTURE, "non-square", f"{label} table has {len(table)} entries, expected {n * n}")
         else:
-            bad = [v for v in table if not isinstance(v, int) or not (0 <= v < n)]
+            bad = [v for v in table if not is_index(v)]
             if bad:
                 report.add(STRUCTURE, "out-of-range", f"{label} table entry {bad[0]!r} is not an element index")
-    if not isinstance(a.unit, int) or not (0 <= a.unit < n):
+    if not is_index(a.unit):
         report.add(STRUCTURE, "out-of-range", f"unit index {a.unit!r} is not an element index")
-    if a.add_table is not None and (not isinstance(a.zero_index, int) or not (0 <= a.zero_index < n)):
+    if a.add_table is not None and not is_index(a.zero_index):
         report.add(STRUCTURE, "out-of-range", f"zero index {a.zero_index!r} is not an element index")
     if a.add_table is None and a.zero_index is not None:
         report.add(STRUCTURE, "zero-without-add", "zero declared but no addition table")
@@ -491,3 +496,82 @@ def oracle_validate_algebra(algebra, rng_seed: int = 0, samples: int = 50) -> mg
             c, d, e = witness
             report.add(AXIOM, "cancellativity", f"{t(c)}+{t(e)} = {t(d)}+{t(e)} but {t(c)} != {t(d)}", witness)
     return report
+
+
+def oracle_iso_check(g1, g2, max_vertices: int = 12):
+    """`iso_check` as it was before its search moved onto an explicit stack:
+    label-respecting isomorphism of (labeled) multigraphs by recursive backtracking.
+
+    Returns ``(True, (f0, f1))`` with an explicit vertex and edge bijection,
+    or ``(False, None)``.  Guarded to small graphs; raise the limit at your
+    own risk.
+    """
+    graph1, labels1, alg1 = _as_parts(g1)
+    graph2, labels2, alg2 = _as_parts(g2)
+    if (labels1 is None) != (labels2 is None):
+        raise ValueError("cannot compare a labeled graph with a bare graph")
+    if alg1 is not None and alg1 != alg2:
+        return False, None
+    if graph1.n_vertices != graph2.n_vertices or graph1.n_edges != graph2.n_edges:
+        return False, None
+    if graph1.n_vertices > max_vertices:
+        raise ValueError(f"iso_check limited to {max_vertices} vertices")
+
+    def keys(g: mg.Graph, labels) -> list[str]:
+        return [""] * g.n_edges if labels is None else [alg1.label_text(x) for x in labels]
+
+    keys1, keys2 = keys(graph1, labels1), keys(graph2, labels2)
+
+    def signature(g: mg.Graph, keys: list[str], v: int):
+        outs = sorted(keys[e] for e in g.out_adjacency[v])
+        ins = sorted(keys[e] for e in g.in_adjacency[v])
+        return tuple(outs), tuple(ins)
+
+    sig1 = [signature(graph1, keys1, v) for v in range(graph1.n_vertices)]
+    sig2 = [signature(graph2, keys2, v) for v in range(graph2.n_vertices)]
+    if sorted(sig1) != sorted(sig2):
+        return False, None
+
+    n = graph1.n_vertices
+    assignment: list[Optional[int]] = [None] * n
+    used = [False] * n
+
+    def consistent(v: int, w: int) -> bool:
+        # the edges between v and the vertices assigned so far (v included)
+        # must match, keyed by far end and label, those between w and the images
+        image = assignment[:v] + [w]
+        for adjacency1, adjacency2, far1, far2 in (
+            (graph1.out_adjacency, graph2.out_adjacency, graph1.edge_tgt, graph2.edge_tgt),
+            (graph1.in_adjacency, graph2.in_adjacency, graph1.edge_src, graph2.edge_src),
+        ):
+            near1 = sorted((image[far1[e]], keys1[e]) for e in adjacency1[v] if far1[e] <= v)
+            near2 = sorted((far2[e], keys2[e]) for e in adjacency2[w] if far2[e] in image)
+            if near1 != near2:
+                return False
+        return True
+
+    def backtrack(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if not used[w] and sig1[v] == sig2[w] and consistent(v, w):
+                assignment[v] = w
+                used[w] = True
+                if backtrack(v + 1):
+                    return True
+                assignment[v] = None
+                used[w] = False
+        return False
+
+    if not backtrack(0):
+        return False, None
+
+    f0 = tuple(assignment)  # type: ignore[arg-type]
+    # pair up parallel edges between matched endpoints by label, then id
+    f1 = [0] * graph1.n_edges
+    for a in range(n):
+        edges1 = sorted(graph1.out_adjacency[a], key=lambda e: (f0[graph1.edge_tgt[e]], keys1[e], e))
+        edges2 = sorted(graph2.out_adjacency[f0[a]], key=lambda e: (graph2.edge_tgt[e], keys2[e], e))
+        for e1, e2 in zip(edges1, edges2):
+            f1[e1] = e2
+    return True, (f0, tuple(f1))

@@ -76,6 +76,21 @@ class TestValidateAlgebra:
         report = mg.validate_algebra(bad)
         assert any(v.code == "out-of-range" and v.kind == STRUCTURE for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "algebra",
+        [
+            mg.TableAlgebra(("0", "1"), (False, False, False, True), True),
+            mg.TableAlgebra(("0", "1"), (0, 0, 0, 1), True),
+            mg.TableAlgebra(("0", "1"), (0, 0, 0, 1), 1, (0, 1, 1, 1), False),
+        ],
+        ids=["table-and-unit", "unit", "zero"],
+    )
+    def test_a_bool_is_not_an_element_index(self, algebra):
+        report = mg.validate_algebra(algebra)
+        assert not report.ok and not algebra.contains(True)
+        assert {v.code for v in report.violations} == {"out-of-range"}
+        assert report.violations == oracle_validate_algebra(algebra).violations
+
     def test_declared_cancellative_is_checked(self):
         bad = mg.table_algebra(
             ["0", "1"], [[0, 1], [1, 1]], unit=0, flags=mg.Flags(commutative=True, cancellative=True)
@@ -515,6 +530,13 @@ class TestHoms:
         assert mg.validate_hom(section).ok
         composite = mg.compose_homs(mg.sign_hom(), section)
         assert all(mg.apply_hom(composite, x) == x for x in range(3))
+
+    def test_composite_of_function_homs_is_a_function(self):
+        composite = mg.compose_homs(mg.sign_section(), mg.sign_hom())
+        assert composite.mapping is None
+        values = [Fraction(-3), Fraction(0), Fraction(5)]
+        assert [mg.apply_hom(composite, x) for x in values] == [-1, 0, 1]
+        assert mg.validate_hom(composite).ok
 
     def test_validate_hom_catches_a_broken_map(self):
         bad = mg.MonoidHom(SIGN, SIGN, mapping=(0, 0))  # sends - to +: not multiplicative? it is; break the unit instead

@@ -18,6 +18,13 @@ def refinement():
     return mg.GraphMorphism(fine, coarse, (0, 0, 1), (0, 0))
 
 
+class TestGraph:
+    @pytest.mark.parametrize("src, tgt", [((True,), (False,)), ((0,), (True,))])
+    def test_a_bool_is_not_a_vertex_id(self, src, tgt):
+        with pytest.raises(ValueError, match="is not a vertex id"):
+            mg.Graph(("a", "b"), src, tgt)
+
+
 class TestValidateMorphism:
     def test_identity_is_valid(self):
         g = homework().graph

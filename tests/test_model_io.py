@@ -7,7 +7,7 @@ import pytest
 import monograph as mg
 from monograph.model_io import ModelFormatError
 
-from helpers import FIXTURES, SIGN
+from helpers import BOOL, FIXTURES, NAT, S_RIG, SIGN
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json"))
 
@@ -91,6 +91,13 @@ class TestParsing:
         with pytest.raises(ModelFormatError) as excinfo:
             mg.parse_model(text)
         assert excinfo.value.code == "unknown-algebra"
+
+    def test_builtin_algebra_objects_parse_by_id(self):
+        text = json.dumps({"format": 1, "algebra": {"kind": "builtin", "builtin_id": "NatAdd"}})
+        assert mg.parse_model(text).algebra == NAT
+        text = json.dumps({"format": 1, "algebra": {"kind": "builtin", "builtin_id": "Octonions"}})
+        with pytest.raises(ModelFormatError, match=r"^\[unknown-algebra\] unknown builtin 'Octonions'$"):
+            mg.parse_model(text)
 
     def test_json_syntax_errors_carry_position(self):
         with pytest.raises(ModelFormatError) as excinfo:
@@ -219,6 +226,17 @@ class TestEmission:
         assert model.vertex_ids == ("0", "1") and model.edge_ids == ("10",)
         once = mg.emit_model(model)
         assert mg.emit_model(mg.parse_model(once)) == once
+
+    def test_an_algebra_only_rig_model_round_trips(self):
+        rig = mg.product_algebra(S_RIG, BOOL)
+        assert rig.is_rig
+        model = mg.ModelFile(algebra=rig)
+        text = mg.emit_model(model)
+        obj = json.loads(text)
+        assert set(obj) == {"format", "algebra"}
+        assert obj["algebra"]["kind"] == "finite-table" and obj["algebra"]["zero"] == rig.zero_index
+        assert text == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert mg.parse_model(text).algebra == rig
 
     def test_catalog_algebras_emit_by_name(self):
         model = mg.load_model(FIXTURES / "homework.json")

@@ -3,10 +3,22 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monograph as mg
+from monograph import open_graphs
 
-from helpers import FIXTURES, NAT, SIGN, rand_composable_triple, rand_open
+from helpers import (
+    FIXTURES,
+    NAT,
+    SIGN,
+    oracle_iso_check,
+    rand_composable_triple,
+    rand_graph,
+    rand_labels,
+    rand_open,
+)
 
 
 def worked_pair():
@@ -115,7 +127,7 @@ class TestTensor:
             x2, y2, _ = rand_composable_triple(rng, SIGN, max_vertices=2, max_edges=3)
             seq_then_par = mg.tensor(mg.compose(x, y), mg.compose(x2, y2))
             par = mg.compose(mg.tensor(x, x2), mg.tensor(y, y2))
-            ok, _ = mg.iso_check(seq_then_par.inner, par.inner, max_vertices=20)
+            ok, _ = mg.iso_check(seq_then_par.inner, par.inner)
             assert ok
 
 
@@ -197,6 +209,12 @@ def _parallel_collapse(k: int, j: int) -> mg.OpenGraphMap:
     return mg.OpenGraphMap(x, y, (0,), (0,), inner)
 
 
+def _hexagon_and_triangles() -> tuple[mg.Graph, mg.Graph]:
+    names = [f"v{i}" for i in range(6)]
+    hexagon = mg.graph(names, [(i, (i + 1) % 6) for i in range(6)])
+    return hexagon, mg.graph(names, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+
+
 class TestIsoCheck:
     def test_graph_is_isomorphic_to_itself(self):
         g = mg.load_model(FIXTURES / "host.json").graph
@@ -240,10 +258,45 @@ class TestIsoCheck:
         b = mg.labeled_graph(["u", "v"], [(0, 1)], SIGN, ["-"])
         assert mg.iso_check(a, b) == (False, None)
 
-    def test_vertex_guard(self):
-        big = mg.graph([f"v{i}" for i in range(13)], [])
-        with pytest.raises(ValueError):
-            mg.iso_check(big, big)
+    def test_directed_six_cycle_is_not_two_triangles(self):
+        # every vertex has one edge in and one out, so only backtracking
+        # tells the two apart
+        hexagon, triangles = _hexagon_and_triangles()
+        assert mg.iso_check(hexagon, triangles) == (False, None)
+        assert mg.iso_check(triangles, hexagon) == (False, None)
+
+    def test_graphs_past_twelve_vertices_are_searched(self):
+        ring = mg.graph([f"v{i}" for i in range(40)], [(i, (i + 1) % 40) for i in range(40)])
+        ok, (f0, f1) = mg.iso_check(ring, ring)
+        assert ok and f0 == tuple(range(40)) and f1 == tuple(range(40))
+
+    def test_guard_counts_placements_tried(self, monkeypatch):
+        monkeypatch.setattr(open_graphs, "_ISO_GUARD", 5)
+        hexagon, triangles = _hexagon_and_triangles()
+        with pytest.raises(ValueError, match=r"on 6 vertices tried 6 placements > guard 5$"):
+            mg.iso_check(hexagon, triangles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.randoms(use_true_random=False), st.booleans(), st.sampled_from(["shuffled", "rewired", "relabelled"]))
+    def test_result_and_witness_match_the_recursive_oracle(self, rnd, labeled, kind):
+        g = rand_graph(rnd, 8, 12)
+        n, m = g.n_vertices, g.n_edges
+        permutation = list(range(n))
+        rnd.shuffle(permutation)
+        edge_order = list(range(m))
+        rnd.shuffle(edge_order)
+        ends = [(permutation[g.edge_src[e]], permutation[g.edge_tgt[e]]) for e in edge_order]
+        if kind == "rewired" and m:
+            ends[rnd.randrange(m)] = (rnd.randrange(n), rnd.randrange(n))
+        copy = mg.graph(list(g.vertex_names), ends)
+        if labeled:
+            g = rand_labels(rnd, g, SIGN)
+            labels = [g.labels[e] for e in edge_order]
+            if kind == "relabelled" and m:
+                labels[rnd.randrange(m)] = rnd.randrange(SIGN.size)
+            copy = mg.LabeledGraph(copy, SIGN, tuple(labels))
+        assert mg.iso_check(g, copy) == oracle_iso_check(g, copy)
+        assert mg.iso_check(copy, g) == oracle_iso_check(copy, g)
 
 
 class TestAssociativity:
@@ -253,6 +306,6 @@ class TestAssociativity:
             x, y, z = rand_composable_triple(rng, SIGN)
             left = mg.compose(mg.compose(x, y), z)
             right = mg.compose(x, mg.compose(y, z))
-            ok, _ = mg.iso_check(left.inner, right.inner, max_vertices=16)
+            ok, _ = mg.iso_check(left.inner, right.inner)
             assert ok
             assert left.left_foot == right.left_foot and left.right_foot == right.right_foot
