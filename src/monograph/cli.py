@@ -9,34 +9,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 
-from .algebra import (
-    CATALOG,
-    MonoidHom,
-    _coefficient_view,
-    collapse_hom,
-    sign_hom,
-    sign_section,
-    validate_algebra,
-)
-from .emergence import emergence_report, format_word, glue
-from .graphs import change_labels
-from .homology import decompose_cycle, feedback, find_relations, h0, loop_polarity, nat_chain, simple_loops
-from .model_io import (
-    ModelFile,
-    ModelFormatError,
-    _canonical_json,
-    emit_model,
-    export_dot,
-    load_model,
-    parse_algebra,
-)
-from .motifs import MOTIF_NAMES, builtin_motif, find_motifs
-from .open_graphs import compose as compose_open
-from .open_graphs import tensor as tensor_open
+# every subcommand loads a model; each handler imports the rest of what it
+# runs, so one process compiles only the modules its subcommand needs
+from .model_io import ModelFile, ModelFormatError, _canonical_json, emit_model, load_model
 
 
 class CliError(Exception):
@@ -78,6 +56,8 @@ def _emit_json(obj) -> None:
 
 
 def cmd_validate(args) -> int:
+    from .algebra import validate_algebra
+
     failures = 0
     for path in args.files:
         try:
@@ -102,6 +82,9 @@ def cmd_validate(args) -> int:
 
 
 def _loop_rows(g, model: ModelFile):
+    from .algebra import CATALOG, _coefficient_view
+    from .homology import feedback, loop_polarity, simple_loops
+
     loops, truncated = simple_loops(g.graph)
     algebra = g.algebra
     has_sum = _coefficient_view(algebra) is not None
@@ -145,13 +128,16 @@ def cmd_loops(args) -> int:
 
 
 def cmd_motif(args) -> int:
+    from .motifs import MOTIF_NAMES, builtin_motif, find_motifs
+
     host_model = _load(args.host)
     host = _graph_of(host_model, args.host)
     if args.motif in MOTIF_NAMES:
         motif = builtin_motif(args.motif)
     else:
         motif = _graph_of(_load(args.motif), args.motif)
-    matches, truncated = find_motifs(motif, host, args.max_path_len, args.max_results)
+    limits = {key: getattr(args, key) for key in ("max_path_len", "max_results") if getattr(args, key) is not None}
+    matches, truncated = find_motifs(motif, host, **limits)
     # every path chosen for motif edge e grades to the motif's label on e;
     # the library's tuples go out as they are, so the emitter writes each
     # shared vertex map, path and the grades once
@@ -191,8 +177,10 @@ def _two_open_inputs(args):
 
 
 def cmd_combine(args) -> int:
+    from .open_graphs import compose, tensor
+
     left, right = _two_open_inputs(args)
-    combine = compose_open if args.command == "compose" else tensor_open
+    combine = compose if args.command == "compose" else tensor
     result = combine(left, right)
     _write(args.out, emit_model(ModelFile(open_graph=result)))
     print(
@@ -203,6 +191,9 @@ def cmd_combine(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from .algebra import _coefficient_view
+    from .homology import find_relations, h0, simple_loops
+
     model = _load(args.file)
     g = _graph_of(model, args.file)
     loops, truncated = simple_loops(g.graph)
@@ -238,6 +229,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_emergence(args) -> int:
+    from .emergence import emergence_report, format_word, glue
+
     left = _open_of(_load(args.left), args.left)
     right = _open_of(_load(args.right), args.right)
     glued = glue(left, right)
@@ -278,15 +271,16 @@ def cmd_emergence(args) -> int:
     return 0
 
 
-_NAMED_HOMS = {"sign": sign_hom, "sign-section": sign_section}
+def _resolve_hom(args, g):
+    from .algebra import MonoidHom, collapse_hom, sign_hom, sign_section
+    from .model_io import parse_algebra
 
-
-def _resolve_hom(args, g) -> MonoidHom:
     if args.hom:
         if args.hom == "collapse":
             return collapse_hom(g.algebra)
-        if args.hom in _NAMED_HOMS:
-            return _NAMED_HOMS[args.hom]()
+        named = {"sign": sign_hom, "sign-section": sign_section}
+        if args.hom in named:
+            return named[args.hom]()
         raise CliError(f"unknown hom {args.hom!r}; known: collapse, sign, sign-section")
     try:
         with open(args.hom_file, "r", encoding="utf-8") as handle:
@@ -300,6 +294,8 @@ def _resolve_hom(args, g) -> MonoidHom:
 
 
 def cmd_change_labels(args) -> int:
+    from .graphs import change_labels
+
     model = _load(args.file)
     g = _graph_of(model, args.file)
     hom = _resolve_hom(args, g)
@@ -313,6 +309,8 @@ def cmd_change_labels(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .homology import decompose_cycle, nat_chain
+
     model = _load(args.file)
     g = _graph_of(model, args.file)
     try:
@@ -341,6 +339,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    from .model_io import export_dot
+
     text = export_dot(_graph_of(_load(args.file), args.file))
     if args.out:
         _write(args.out, text)
@@ -366,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motif", help="find motif occurrences in a host graph")
     p.add_argument("--motif", required=True, help="builtin motif name or a model file")
     p.add_argument("--host", required=True)
-    search = inspect.signature(find_motifs).parameters
-    p.add_argument("--max-path-len", type=int, default=search["max_path_len"].default)
-    p.add_argument("--max-results", type=int, default=search["max_results"].default)
+    # no defaults here: an option not given keeps find_motifs' own default
+    p.add_argument("--max-path-len", type=int)
+    p.add_argument("--max-results", type=int)
     p.add_argument("--json", action="store_true")
 
     for name, helptext in (

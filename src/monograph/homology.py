@@ -24,6 +24,7 @@ from typing import Sequence
 from .algebra import Element, LabelAlgebra, TableAlgebra, algebra_name, named_algebra
 from .graphs import Graph, LabeledGraph, undirected_components
 from .paths import Path, grade
+from .validation import _over_guard
 
 NAT = named_algebra("NatAdd")
 
@@ -407,14 +408,6 @@ def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fract
             row[col] = y
         else:
             del row[col]
-
-
-def _over_guard(space: str, guard: int) -> str:
-    """`space` against `guard`, writing 1000000 as 10^6 and 2000000 as 2*10^6."""
-    digits, head = str(guard), str(guard).rstrip("0")
-    if len(head) == 1 and head != digits:
-        digits = ("" if head == "1" else head + "*") + f"10^{len(digits) - 1}"
-    return f"{space} > guard {digits}"
 
 
 def find_relations(

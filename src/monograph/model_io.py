@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .algebra import (
     BUILTIN_NAMES,
@@ -26,8 +26,11 @@ from .algebra import (
     algebra_name,
     named_algebra,
 )
-from .graphs import Graph, LabeledGraph
-from .open_graphs import OpenGraph
+
+if TYPE_CHECKING:
+    # imported where a section is parsed: an algebra-only file loads neither
+    from .graphs import LabeledGraph
+    from .open_graphs import OpenGraph
 
 FORMAT_VERSION = 1
 
@@ -122,10 +125,13 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
         _require(zero is None, "schema", "zero given without an add_table")
     flags_obj = obj.get("flags", {})
     _require(isinstance(flags_obj, dict), "schema", "flags must be an object")
-    flags = Flags(
-        commutative=bool(flags_obj.get("commutative", False)),
-        cancellative=bool(flags_obj.get("cancellative", False)),
-    )
+
+    def read_flag(key: str) -> bool:
+        value = flags_obj.get(key, False)
+        _require(isinstance(value, bool), "schema", f"flag {key!r} must be true or false, got {value!r}")
+        return value
+
+    flags = Flags(commutative=read_flag("commutative"), cancellative=read_flag("cancellative"))
     return TableAlgebra(elements, mul_table, unit, add_table, zero, flags)
 
 
@@ -152,6 +158,8 @@ def algebra_to_json(algebra: LabelAlgebra) -> Any:
 
 def parse_graph(obj: Any):
     """Parse a graph object; returns (LabeledGraph, vertex_ids, edge_ids)."""
+    from .graphs import Graph, LabeledGraph
+
     _require(isinstance(obj, dict), "schema", "graph must be an object")
     _require("algebra" in obj, "schema", "graph is missing its algebra")
     algebra = parse_algebra(obj["algebra"])
@@ -248,6 +256,8 @@ def _label_json(g: LabeledGraph, e: int) -> Any:
 
 
 def parse_open_graph(obj: Any):
+    from .open_graphs import OpenGraph
+
     _require(isinstance(obj, dict), "schema", "open_graph must be an object")
     _require("inner" in obj, "schema", "open_graph is missing its inner graph")
     inner, vertex_ids, edge_ids = parse_graph(obj["inner"])
@@ -271,6 +281,8 @@ def parse_open_graph(obj: Any):
             if vid not in vertex_index:
                 raise ModelFormatError("dangling-id", f"{key}[{name!r}]: {vid!r} is not a vertex id")
             targets.append(vertex_index[vid])
+        extra = sorted(set(normalized) - set(foot))
+        _require(not extra, "schema", f"{key} names {extra} outside its foot")
         return tuple(targets)
 
     left = read_foot("left_foot")
@@ -299,7 +311,8 @@ def parse_model(text: str) -> ModelFile:
         raise ModelFormatError("json-syntax", "nested too deeply to decode") from None
     _require(isinstance(obj, dict), "schema", "model file must be a JSON object")
     version = obj.get("format")
-    _require(version == FORMAT_VERSION, "schema", f"format must be {FORMAT_VERSION}, got {version!r}")
+    # JSON true and 1.0 compare equal to 1 but are not the integer 1
+    _require(type(version) is int and version == FORMAT_VERSION, "schema", f"format must be {FORMAT_VERSION}, got {version!r}")
     known = {"format", "algebra", "graph", "open_graph", "morphism"}
     unknown = set(obj) - known
     _require(not unknown, "schema", f"unknown top-level keys: {sorted(unknown)}")

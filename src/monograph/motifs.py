@@ -20,8 +20,8 @@ import math
 
 from .algebra import CATALOG
 from .graphs import Graph, LabeledGraph, labeled_graph
-from .homology import _over_guard
 from .paths import KleisliMorphism, Path
+from .validation import _over_guard
 
 DEFAULT_MAX_PATH_LEN = 6
 # the most walks `find_motifs` tables from one host vertex: a dense host at

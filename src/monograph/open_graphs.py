@@ -33,9 +33,8 @@ from .graphs import (
     undirected_components,
     validate_morphism,
 )
-from .homology import _over_guard
 from .paths import KleisliMorphism, compose_kleisli, is_kleisli_morphism
-from .validation import ValidationReport
+from .validation import ValidationReport, _over_guard
 
 
 @dataclass(frozen=True)

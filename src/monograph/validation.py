@@ -1,4 +1,5 @@
-"""Structured validation reports shared by the algebra and graph checkers."""
+"""Structured validation reports shared by the algebra and graph checkers,
+and the message of a search that ran past its guard."""
 
 from __future__ import annotations
 
@@ -36,3 +37,11 @@ class ValidationReport:
         lines = [f"{self.subject}: {len(self.violations)} violation(s)"]
         lines += [f"  [{v.kind}/{v.code}] {v.message}" for v in self.violations]
         return "\n".join(lines)
+
+
+def _over_guard(space: str, guard: int) -> str:
+    """`space` against `guard`, writing 1000000 as 10^6 and 2000000 as 2*10^6."""
+    digits, head = str(guard), str(guard).rstrip("0")
+    if len(head) == 1 and head != digits:
+        digits = ("" if head == "1" else head + "*") + f"10^{len(digits) - 1}"
+    return f"{space} > guard {digits}"

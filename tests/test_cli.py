@@ -1,6 +1,7 @@
 """End-to-end runs of every CLI subcommand."""
 
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import monograph as mg
-from monograph import cli
+from monograph import cli, open_graphs
 from monograph.cli import main
 
 from helpers import (
@@ -536,6 +537,19 @@ class TestMotifCli:
             "  match 2: v -> quality of work, w -> grades; paths [quality-grades], [grades-effort, effort-quality]\n"
         )
 
+    def test_limits_not_given_are_find_motifs_defaults(self, capsys):
+        defaults = inspect.signature(mg.find_motifs).parameters
+        base = ["motif", "--motif", "positive-feedback-loop", "--host", FIXTURES / "host.json", "--json"]
+        explicit = run(
+            capsys, *base, "--max-path-len", defaults["max_path_len"].default,
+            "--max-results", defaults["max_results"].default,
+        )
+        assert run(capsys, *base) == explicit and explicit[0] == 0
+        # each option alone keeps the other's default
+        assert run(capsys, *base, "--max-results", "3") == run(
+            capsys, *base, "--max-path-len", defaults["max_path_len"].default, "--max-results", "3"
+        )
+
     def test_text_mode_shows_empty_paths_and_truncation(self, capsys):
         code, out, _ = run(
             capsys, "motif", "--motif", "positive-autoregulation",
@@ -641,20 +655,24 @@ class TestParserReuse:
         run(capsys, "loops", FIXTURES / "homework.json")  # builds the parser
         seen = []
 
-        def spy(name, fn):
+        def spy(module, name):
+            fn = getattr(module, name)
+
             def wrapper(*args, **kwargs):
                 seen.append(name)
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("compose_open", "tensor_open", "cmd_loops"):
-            spy(name, getattr(cli, name))
+        # a handler imports the library functions it calls when it runs,
+        # so they are spied where they are defined
+        for module, name in ((open_graphs, "compose"), (open_graphs, "tensor"), (cli, "cmd_loops")):
+            spy(module, name)
         pair = (FIXTURES / "open_left.json", FIXTURES / "open_right.json")
         assert run(capsys, "compose", *pair, "--out", tmp_path / "c.json")[0] == 0
         assert run(capsys, "tensor", *pair, "--out", tmp_path / "t.json")[0] == 0
         assert run(capsys, "loops", FIXTURES / "homework.json")[0] == 0
-        assert seen == ["compose_open", "tensor_open", "cmd_loops"]
+        assert seen == ["compose", "tensor", "cmd_loops"]
 
 
 def _parity_calls(tmp_path):

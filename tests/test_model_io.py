@@ -271,6 +271,12 @@ def _table_file(**tables):
     return {"format": 1, "algebra": dict({"kind": "finite-table", "elements": ["1", "x"], "unit": 0}, **tables)}
 
 
+def _open_file(**legs):
+    inner = {"algebra": "SIGN", "vertices": _V, "edges": [_E]}
+    obj = dict({"inner": inner, "left_foot": ["x"], "right_foot": ["y"], "leg_in": {"x": "a"}, "leg_out": {"y": "b"}}, **legs)
+    return {"format": 1, "open_graph": obj}
+
+
 # each check that builds its message only on failure, with the exact text
 BROKEN_MODELS = {
     "vertex id type": (
@@ -348,6 +354,30 @@ BROKEN_MODELS = {
     "first of several bad table entries": (
         _table_file(mul_table=[0, 5, "x", -1]),
         ("bad-table", "[bad-table] mul_table entry 5 is not an element index"),
+    ),
+    "flag as a string": (
+        _table_file(mul_table=[0, 1, 1, 1], flags={"commutative": "false"}),
+        ("schema", "[schema] flag 'commutative' must be true or false, got 'false'"),
+    ),
+    "flag as an integer": (
+        _table_file(mul_table=[0, 1, 1, 1], flags={"cancellative": 1}),
+        ("schema", "[schema] flag 'cancellative' must be true or false, got 1"),
+    ),
+    "flag as null": (
+        _table_file(mul_table=[0, 1, 1, 1], flags={"commutative": None}),
+        ("schema", "[schema] flag 'commutative' must be true or false, got None"),
+    ),
+    "format true": (
+        dict(_table_file(mul_table=[0, 1, 1, 1]), format=True),
+        ("schema", "[schema] format must be 1, got True"),
+    ),
+    "format float": (
+        dict(_table_file(mul_table=[0, 1, 1, 1]), format=1.0),
+        ("schema", "[schema] format must be 1, got 1.0"),
+    ),
+    "leg key outside its foot": (
+        _open_file(leg_in={"x": "a", "y": "zz"}),
+        ("schema", "[schema] leg_in names ['y'] outside its foot"),
     ),
 }
 
