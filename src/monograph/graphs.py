@@ -24,9 +24,14 @@ class Graph:
         if len(self.edge_src) != len(self.edge_tgt):
             raise ValueError("edge source and target lists differ in length")
         n = len(self.vertex_names)
-        for v in itertools.chain(self.edge_src, self.edge_tgt):
-            if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
-                raise ValueError(f"edge endpoint {v!r} is not a vertex id")
+        ends = (self.edge_src, self.edge_tgt)
+        # checked in C; only a failure looks for the first bad endpoint
+        if self.edge_src and not (
+            set(map(type, itertools.chain(*ends))) <= {int} and min(map(min, ends)) >= 0 and max(map(max, ends)) < n
+        ):
+            for v in itertools.chain(*ends):
+                if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
+                    raise ValueError(f"edge endpoint {v!r} is not a vertex id")
         # Per vertex, the ids of the edges leaving (entering) it, ascending.
         # Not fields, so equality and hashing still see only the fields; set
         # here rather than cached through `__dict__`, which would move every
@@ -70,11 +75,19 @@ class LabeledGraph:
     labels: tuple
 
     def __post_init__(self):
-        if len(self.labels) != self.graph.n_edges:
+        labels, algebra = self.labels, self.algebra
+        if len(labels) != self.graph.n_edges:
             raise ValueError("labeling is not total on edges")
-        for x in self.labels:
-            if not self.algebra.contains(x):
-                raise ValueError(f"label {x!r} is not an element of the algebra")
+        # checked in C (a table's elements are the indices below its size);
+        # only a failure looks for the first bad label
+        if isinstance(algebra, TableAlgebra):
+            fits = not labels or (set(map(type, labels)) <= {int} and min(labels) >= 0 and max(labels) < algebra.size)
+        else:
+            fits = all(map(algebra.contains, labels))
+        if not fits:
+            for x in labels:
+                if not algebra.contains(x):
+                    raise ValueError(f"label {x!r} is not an element of the algebra")
 
     def label_texts(self) -> tuple[str, ...]:
         return tuple(self.algebra.label_text(x) for x in self.labels)

@@ -13,8 +13,10 @@ emitter.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -70,6 +72,15 @@ def _require(condition: bool, code: str, message: str) -> None:
         raise ModelFormatError(code, message)
 
 
+def _require_known(obj: dict, known: frozenset, what: str) -> None:
+    unknown = obj.keys() - known
+    if unknown:
+        raise ModelFormatError("schema", f"unknown {what} keys: {sorted(unknown)}")
+
+
+_TABLE_KEYS = frozenset({"kind", "elements", "mul_table", "add_table", "unit", "zero", "flags"})
+
+
 def _as_id(value: Any, where: str) -> str:
     if not isinstance(value, (str, int)) or isinstance(value, bool):
         raise ModelFormatError("schema", f"{where}: ids must be strings or integers, got {value!r}")
@@ -85,10 +96,12 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
     _require(isinstance(obj, dict), "schema", "algebra must be a name or an object")
     kind = obj.get("kind")
     if kind == "builtin":
+        _require_known(obj, frozenset({"kind", "builtin_id"}), "builtin algebra")
         name = obj.get("builtin_id")
         _require(name in BUILTIN_NAMES, "unknown-algebra", f"unknown builtin {name!r}")
         return named_algebra(name)
     _require(kind == "finite-table", "schema", f"algebra kind must be 'finite-table' or 'builtin', got {kind!r}")
+    _require_known(obj, _TABLE_KEYS, "finite-table algebra")
     _require(
         isinstance(obj.get("elements"), list) and all(isinstance(e, str) for e in obj["elements"]),
         "schema",
@@ -125,6 +138,7 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
         _require(zero is None, "schema", "zero given without an add_table")
     flags_obj = obj.get("flags", {})
     _require(isinstance(flags_obj, dict), "schema", "flags must be an object")
+    _require_known(flags_obj, frozenset({"commutative", "cancellative"}), "flag")
 
     def read_flag(key: str) -> bool:
         value = flags_obj.get(key, False)
@@ -156,6 +170,44 @@ def algebra_to_json(algebra: LabelAlgebra) -> Any:
     return obj
 
 
+def _graph_columns(vertices: list, edges: list, algebra: LabelAlgebra) -> Optional[tuple]:
+    """``(vertex_ids, names, edge_ids, src, tgt, labels)`` read column by
+    column and checked in C, or None when some entry fails a check; the
+    per-entry loop in `parse_graph` then names it."""
+    if not set(map(type, itertools.chain(vertices, edges))) <= {dict}:
+        return None
+    try:
+        vertex_ids = list(map(operator.itemgetter("id"), vertices))
+        rows = list(map(operator.itemgetter("id", "src", "tgt", "label"), edges))
+    except KeyError:
+        return None
+    edge_ids, src, tgt, labels = map(list, zip(*rows)) if rows else ([], [], [], [])
+    ids = (vertex_ids, edge_ids, src, tgt)
+    kinds = set(map(type, itertools.chain(*ids)))
+    if not kinds <= {str}:
+        if not kinds <= {str, int}:
+            return None
+        vertex_ids, edge_ids, src, tgt = (list(map(str, column)) for column in ids)
+    index = dict(zip(vertex_ids, range(len(vertex_ids))))
+    names = list(map(dict.get, vertices, itertools.repeat("name"), vertex_ids))
+    if len(index) < len(vertex_ids) or len(set(edge_ids)) < len(edge_ids) or not set(map(type, names)) <= {str}:
+        return None
+    try:
+        src = list(map(index.__getitem__, src))
+        tgt = list(map(index.__getitem__, tgt))
+        if isinstance(algebra, TableAlgebra):
+            if not set(map(type, labels)) <= {str}:
+                return None
+            # the first of equal names wins, as in `elements.index`
+            n = len(algebra.elements)
+            labels = list(map(dict(zip(reversed(algebra.elements), range(n - 1, -1, -1))).__getitem__, labels))
+        else:
+            labels = list(map(algebra.parse_label, labels))
+    except KeyError:
+        return None
+    return vertex_ids, names, edge_ids, src, tgt, labels
+
+
 def parse_graph(obj: Any):
     """Parse a graph object; returns (LabeledGraph, vertex_ids, edge_ids)."""
     from .graphs import Graph, LabeledGraph
@@ -167,12 +219,21 @@ def parse_graph(obj: Any):
     edges = obj.get("edges", [])
     _require(isinstance(vertices, list), "schema", "graph.vertices must be a list")
     _require(isinstance(edges, list), "schema", "graph.edges must be a list")
+    columns = _graph_columns(vertices, edges, algebra)
+    if columns is None:
+        columns = _graph_entries(vertices, edges, algebra)
+    vertex_ids, names, edge_ids, src, tgt, labels = map(tuple, columns)
+    graph = LabeledGraph(Graph(names, src, tgt), algebra, labels)
+    return graph, vertex_ids, edge_ids
 
+
+def _graph_entries(vertices: list, edges: list, algebra: LabelAlgebra) -> tuple:
+    """`_graph_columns` one entry at a time: raises on the first entry that
+    fails a check, with its message."""
     vertex_ids: list[str] = []
     names: list[str] = []
     index: dict[str, int] = {}
-    # each check builds its message only when it fails: these loops run per
-    # vertex and per edge
+    # each check builds its message only when it fails
     for entry in vertices:
         _require(isinstance(entry, dict) and "id" in entry, "schema", "each vertex needs an id")
         vid = _as_id(entry["id"], "vertex")
@@ -216,8 +277,7 @@ def parse_graph(obj: Any):
             raise ModelFormatError(
                 "unknown-element", f"edge {eid!r}: {exc.args[0]}"
             ) from None
-    graph = LabeledGraph(Graph(tuple(names), tuple(src), tuple(tgt)), algebra, tuple(labels))
-    return graph, tuple(vertex_ids), tuple(edge_ids)
+    return vertex_ids, names, edge_ids, src, tgt, labels
 
 
 def graph_to_json(
@@ -313,9 +373,7 @@ def parse_model(text: str) -> ModelFile:
     version = obj.get("format")
     # JSON true and 1.0 compare equal to 1 but are not the integer 1
     _require(type(version) is int and version == FORMAT_VERSION, "schema", f"format must be {FORMAT_VERSION}, got {version!r}")
-    known = {"format", "algebra", "graph", "open_graph", "morphism"}
-    unknown = set(obj) - known
-    _require(not unknown, "schema", f"unknown top-level keys: {sorted(unknown)}")
+    _require_known(obj, frozenset({"format", "algebra", "graph", "open_graph", "morphism"}), "top-level")
     _require(
         not ("graph" in obj and "open_graph" in obj),
         "schema",
@@ -371,6 +429,8 @@ def model_to_json(model: ModelFile) -> dict:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_LISTS = frozenset({list, tuple})
 
 
 def _scalar_text(value: Any) -> Optional[str]:
@@ -396,20 +456,86 @@ def _scalar_text(value: Any) -> Optional[str]:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _scalar_list(items, encode, nl: str) -> str:
-    """A list of items of one type as one string, each written by `encode`,
-    or "" when their types differ."""
-    if len(set(map(type, items))) != 1:
-        return ""
+def _encoder(kinds: set):
+    """The function that writes scalars of the types in `kinds`, or None
+    unless all are scalar types; not int.__repr__ for a bool, which is not
+    json's spelling."""
+    if kinds == {str}:
+        return _encode_str
+    if kinds == {int}:
+        return int.__repr__
+    return _scalar_text if kinds <= _SCALARS else None
+
+
+def _bracketed(lists: dict, texts, nl: str) -> dict:
+    """id -> text of each list in `lists` (id -> list) written at newline
+    `nl`, given an iterable of its items' texts per list, in order."""
     inner = nl + "  "
-    return "[" + inner + ("," + inner).join(map(encode, items)) + nl + "]"
+    written = dict(zip(lists, map(("[" + inner + "%s" + nl + "]").__mod__, map(("," + inner).join, texts))))
+    if not all(lists.values()):
+        written.update(dict.fromkeys([ident for ident, items in lists.items() if not items], "[]"))
+    return written
+
+
+def _list_texts(cells, nl: str) -> Optional[list]:
+    """The text of each list or tuple in `cells`, written at newline `nl`,
+    when each holds only scalars or only lists and tuples of scalars; None
+    otherwise.  Each distinct list (by id) is written once: `cells` holds
+    them all for the call, so no id is reused.  Every step runs in C."""
+    outer = dict(zip(map(id, cells), cells))
+    kinds = set(map(type, itertools.chain.from_iterable(outer.values())))
+    encode = _encoder(kinds)
+    if encode is None:
+        if not kinds <= _LISTS:
+            return None
+        # one level down: the distinct inner lists, each written once
+        items = list(itertools.chain.from_iterable(outer.values()))
+        inner = dict(zip(map(id, items), items))
+        encode = _encoder(set(map(type, itertools.chain.from_iterable(inner.values()))))
+        if encode is None:
+            return None
+        encode = _bracketed(inner, map(map, itertools.repeat(encode), inner.values()), nl + "  ").__getitem__
+        texts = map(map, itertools.repeat(encode), map(map, itertools.repeat(id), outer.values()))
+    else:
+        texts = map(map, itertools.repeat(encode), outer.values())
+    return list(map(_bracketed(outer, texts, nl).__getitem__, map(id, cells)))
+
+
+def _record_list(records: list, nl: str) -> Optional[str]:
+    """A list of dicts that share one key set of strings, written at
+    newline `nl` column by column, or None when a column needs the general
+    walk.  Every column's types are checked before any is written; each
+    row is one `%` of a template that holds the keys."""
+    keys = records[0].keys()
+    if not keys or set(map(type, records)) != {dict} or set(map(type, keys)) != {str}:
+        return None
+    if not all(map(keys.__eq__, map(dict.keys, records))):
+        return None
+    names = sorted(keys)
+    row_nl = nl + "  "
+    cell_nl = row_nl + "  "
+    columns: list = []
+    for name in names:
+        column = list(map(operator.itemgetter(name), records))
+        kinds = set(map(type, column))
+        encode = _encoder(kinds)
+        if encode is None and not kinds <= _LISTS:
+            return None
+        columns.append(column if encode is None else map(encode, column))
+    # the columns of lists, left as lists above, once every type is known
+    for i, column in enumerate(columns):
+        if type(column) is list and (column := _list_texts(column, cell_nl)) is None:
+            return None
+        columns[i] = column
+    # a `%` in a key is doubled, so only the cells fill the template
+    template = "{" + cell_nl + ("," + cell_nl).join(
+        _encode_str(name).replace("%", "%%") + ": %s" for name in names
+    ) + row_nl + "}"
+    return "[" + row_nl + ("," + row_nl).join(map(template.__mod__, zip(*columns))) + nl + "]"
 
 
 _END = object()
 _CONTAINERS = frozenset({list, tuple, dict})
-# the item types whose lists are written in one join; not bool, whose
-# int.__repr__ is not json's spelling
-_LIST_ITEM_ENCODERS = {str: _encode_str, int: int.__repr__}
 
 
 def _canonical_json(obj: Any) -> str:
@@ -417,18 +543,17 @@ def _canonical_json(obj: Any) -> str:
 
     With an `indent`, json writes through its pure-Python encoder, one
     generator step per scalar.  Here scalars are encoded by json's C
-    functions, and a list or tuple of only `str` or only `int` items is one
-    `join`, written once per call however often it recurs: the cache keys it
-    by id and indent and holds it, so no id is reused during the call.
-    Containers are walked on an explicit stack.  Raises TypeError and
+    functions, a list or tuple of scalars is one `join`, and a list of
+    dicts that share one key set is written column by column
+    (`_record_list`).  Everything else, and a record list with a column
+    that `_record_list` cannot write, goes through the general walk, where
+    containers are walked on an explicit stack.  Raises TypeError and
     ValueError where json.dumps does, and TypeError for a dict key that is
     not a `str` (json.dumps would write an int, float, bool or None key as
     a string; no model or payload has one).
     """
     parts: list[str] = []
     emit = parts.append
-    lists: dict[tuple[int, str], str] = {}
-    keep = []
     open_ids: set[int] = set()
     # the open container: its items left, the separators before its first
     # and later items, the newline before each item, its closing text,
@@ -463,16 +588,16 @@ def _canonical_json(obj: Any) -> str:
         elif not value:
             emit("{}" if isinstance(value, dict) else "[]")
         else:
-            text = ""
-            if not isinstance(value, dict) and (encode := _LIST_ITEM_ENCODERS.get(type(value[0]))):
-                key = (id(value), nl)
-                text = lists.get(key)
-                if text is None:
-                    text = lists[key] = _scalar_list(value, encode, nl)
-                    keep.append(value)
-            if text:
-                emit(text)
-                continue
+            if not isinstance(value, dict):
+                text = None
+                if type(value[0]) is dict:
+                    # one record gains nothing from columns
+                    text = _record_list(value, nl) if len(value) > 1 else None
+                elif (encode := _encoder(set(map(type, value)))) is not None:
+                    text = "[" + nl + "  " + ("," + nl + "  ").join(map(encode, value)) + nl + "]"
+                if text is not None:
+                    emit(text)
+                    continue
             if id(value) in open_ids:
                 raise ValueError("Circular reference detected")
             outer.append((items, comma, inner, close, is_dict, ident))
@@ -492,7 +617,11 @@ def emit_model(model: ModelFile) -> str:
 
 def load_model(path) -> ModelFile:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_model(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError("json-syntax", f"not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+    return parse_model(text)
 
 
 def save_model(model: ModelFile, path) -> None:

@@ -8,13 +8,15 @@ the interface.
 The search walks the host once per source vertex it touches, grouping the
 walks by (end, grade), and then assigns motif vertices by backtracking,
 checking each motif edge against those tables as soon as both its endpoints
-are placed (candidate filtering as in Ullmann, J. ACM 1976, and VF2,
-Cordella et al., IEEE TPAMI 2004).  No step recurses, so deep hosts and
-long path limits never exhaust the interpreter's stack.
+are placed, and drawing a vertex's candidates from the tables of placed
+neighbours at either end of its edges (candidate filtering as in Ullmann,
+J. ACM 1976, and VF2, Cordella et al., IEEE TPAMI 2004).  No step recurses,
+so deep hosts and long path limits never exhaust the interpreter's stack.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -80,8 +82,9 @@ class _PathTable:
     (end, grade), each list in walk order.
 
     Grades follow `paths.grade`: grade(p + e) = mul(label[e], grade(p)),
-    and the empty walk grades to the unit.  A walk's `Path` is built the
-    first time a match uses it.
+    and the empty walk grades to the unit.  The `Path`s of one (end, grade)
+    are built the first time a match uses them, and every later match
+    shares them.
     """
 
     __slots__ = ("start", "parents", "edges", "by_end_grade", "_ends", "_paths")
@@ -97,7 +100,7 @@ class _PathTable:
         for walk, key in enumerate(zip(ends, grades)):
             self.by_end_grade.setdefault(key, []).append(walk)
         self._ends: dict = {}
-        self._paths: dict[int, Path] = {}
+        self._paths: dict[tuple, list[Path]] = {}
 
     def ends_with(self, value) -> list[int]:
         """The ends of the walks grading to `value`, ascending."""
@@ -106,11 +109,13 @@ class _PathTable:
             ends = self._ends[value] = sorted(at for at, grade in self.by_end_grade if grade == value)
         return ends
 
-    def path(self, walk: int) -> Path:
-        p = self._paths.get(walk)
-        if p is None:
-            p = self._paths[walk] = Path(self.start, _edges_of(walk, self.parents, self.edges))
-        return p
+    def paths(self, key: tuple) -> list[Path]:
+        """The paths of the walks filed under `key`, (end, grade), in walk order."""
+        paths = self._paths.get(key)
+        if paths is None:
+            start, parents, edges = self.start, self.parents, self.edges
+            paths = self._paths[key] = [Path(start, _edges_of(w, parents, edges)) for w in self.by_end_grade[key]]
+        return paths
 
 
 def find_motifs(
@@ -143,7 +148,22 @@ def find_motifs(
     for e in range(m_graph.n_edges):
         checks[max(m_src[e], m_tgt[e])].append(e)
     narrow = [next((e for e in checks[i] if m_tgt[e] == i != m_src[e]), None) for i in range(k)]
+    # a vertex i that nothing earlier enters, with an edge e = i -> j to a
+    # later j that an earlier vertex enters by f: i's image needs a walk
+    # graded like e into an end that the walks of f's source reach graded
+    # like f, so its candidates come from the other end, through `starts`
+    lookahead = [
+        None if narrow[i] is not None else next(
+            ((e, f) for e in range(m_graph.n_edges) if m_src[e] == i < m_tgt[e]
+             for f in checks[m_tgt[e]] if m_tgt[f] == m_tgt[e] and m_src[f] < i),
+            None,
+        )
+        for i in range(k)
+    ]
     tables: dict[int, _PathTable] = {}
+    # (end, grade) -> the host vertices with such a walk, ascending; filed
+    # from every table when a lookahead first needs it
+    starts: dict[tuple, list[int]] = {}
     # when every motif edge leaves vertex 0, only the table of vertex 0's
     # host vertex is ever read, so the others are dropped as it moves on
     one_source = all(s == 0 for s in m_src)
@@ -156,23 +176,32 @@ def find_motifs(
 
     def candidates(i: int):
         e = narrow[i]
-        if e is None:
+        if e is not None:
+            return iter(table_at(assignment[m_src[e]]).ends_with(m_labels[e]))
+        if lookahead[i] is None:
             return iter(range(n))
-        return iter(table_at(assignment[m_src[e]]).ends_with(m_labels[e]))
+        if not starts:
+            for u in range(n):
+                for key in table_at(u).by_end_grade:
+                    starts.setdefault(key, []).append(u)
+        e, f = lookahead[i]
+        label = m_labels[e]
+        ends = table_at(assignment[m_src[f]]).ends_with(m_labels[f])
+        return iter(sorted(set().union(*[starts.get((x, label), ()) for x in ends])))
 
-    fits: list = [None] * m_graph.n_edges  # per motif edge: (table, candidate walks)
+    fits: list = [None] * m_graph.n_edges  # per motif edge: (table, (end, grade))
     assignment = [-1] * k
     trying = [candidates(0)] if k else []  # per placed level: host vertices left to try
     matches: list[KleisliMorphism] = []
     level = 0
     while level >= 0:
         if level == k:
-            vertex_map = tuple(assignment)
-            for combo in itertools.product(*[walks for _, walks in fits]):
-                if len(matches) >= max_results:
-                    return matches, True
-                edge_map = tuple(table.path(w) for (table, _), w in zip(fits, combo))
-                matches.append(KleisliMorphism(motif, host, vertex_map, edge_map))
+            # every choice of one path per motif edge, in lexicographic order
+            combos = itertools.product(*[table.paths(key) for table, key in fits])
+            match = functools.partial(KleisliMorphism, motif, host, tuple(assignment))
+            matches.extend(map(match, itertools.islice(combos, max_results - len(matches))))
+            if next(combos, None) is not None:
+                return matches, True
             level -= 1
             continue
         v = next(trying[level], None)
@@ -185,10 +214,10 @@ def find_motifs(
             tables.clear()
         for e in checks[level]:
             table = table_at(assignment[m_src[e]])
-            walks = table.by_end_grade.get((assignment[m_tgt[e]], m_labels[e]))
-            if walks is None:
+            key = (assignment[m_tgt[e]], m_labels[e])
+            if key not in table.by_end_grade:
                 break
-            fits[e] = (table, walks)
+            fits[e] = (table, key)
         else:
             level += 1
             if level < k:

@@ -152,3 +152,95 @@ def test_written_model_files_are_fixed_points(capsys, tmp_path):
         assert main([str(a) for a in argv] + ["--out", str(out)]) == 0, name
         assert _is_fixed_point(out.read_text(encoding="utf-8")), name
     capsys.readouterr()
+
+
+# ------------------------------------------- lists of records, written by columns
+
+# keys that a `%` template, a quote escape or an ASCII escape could break
+record_keys = st.lists(st.sampled_from(["a", "b", "%", "%s", '"', "\\", "é", "☃", "\n"]), max_size=3).map("".join)
+# what a column holds; "scalars" mixes types row by row, and the last three
+# send the whole list back to the general walk
+COLUMN_KINDS = ["str", "int", "scalars", "shared", "lists", "empty", "scalar-or-list", "deep", "dict"]
+
+
+@st.composite
+def record_lists(draw):
+    """A list of dicts that share one key set, whose cells may share tuples
+    by id across rows, columns and depths; sometimes one row has another
+    key set."""
+    names = draw(st.lists(record_keys, min_size=1, max_size=4, unique=True))
+    pool = draw(st.lists(st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3).map(tuple), min_size=1, max_size=4))
+    shared = st.sampled_from(pool)
+    cells = {
+        "str": st.text(max_size=3),
+        "int": st.integers(),
+        "scalars": scalars,
+        "shared": shared,
+        "lists": st.lists(shared | st.lists(st.text(max_size=2), max_size=3) | st.just(()), max_size=3),
+        "empty": st.just([]) | st.just(()),
+        "scalar-or-list": st.integers() | shared,
+        "deep": st.lists(st.lists(shared, max_size=2), max_size=2),
+        "dict": st.dictionaries(st.text(max_size=2), shared, max_size=2),
+    }
+    kinds = {name: draw(st.sampled_from(COLUMN_KINDS[:-3]) if draw(st.integers(0, 9)) else st.sampled_from(COLUMN_KINDS)) for name in names}
+    rows = [{name: draw(cells[kinds[name]]) for name in names} for _ in range(draw(st.integers(0, 6)))]
+    if rows and draw(st.integers(0, 9)) == 0:
+        odd = draw(st.sampled_from(rows))
+        odd[draw(record_keys)] = 1
+    return rows, pool
+
+
+@settings(max_examples=400, deadline=None)
+@given(record_lists())
+def test_record_lists_equal_json_dumps(drawn):
+    rows, pool = drawn
+    # the same rows and tuples again one level deeper, under a key with a `%`
+    obj = {"rows": rows, "%again": [rows, pool, {"r": rows}]}
+    assert _canonical_json(obj) == reference(obj)
+    assert _canonical_json(rows) == reference(rows)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{"%s": 1, "%%": "%d"}, {"%s": 2, "%%": "%"}],
+        [{"a": []}, {"a": ()}, {"a": [[], ()]}],
+        [{"a": [1, "x", None, 2.5, True]}, {"a": [False]}],
+        [{"a": {"b": 1}}, {"a": {"b": 2}}],
+        [{"a": 1}, {"b": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": [[1], ["x"], []]}, {"a": [(2, 3)]}],
+        [{"a": [[[1]]]}, {"a": []}],
+        [{}, {}],
+        [{"a": 1}, [1]],
+    ],
+    ids=["percent-keys", "empty-lists", "mixed-scalar-list", "nested-dicts", "other-keys",
+         "extra-key", "lists-of-lists", "three-deep", "empty-records", "not-all-dicts"],
+)
+def test_record_list_edge_cases_equal_json_dumps(obj):
+    assert _canonical_json(obj) == reference(obj)
+
+
+def test_a_tuple_shared_across_rows_and_depths():
+    edge = (1, 2)
+    rows = [{"path": edge, "paths": [edge, (3,)], "deep": [[edge]]} for _ in range(3)]
+    obj = {"rows": rows, "edge": edge, "more": {"rows": rows}}
+    assert _canonical_json(obj) == reference(obj)
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"x", object()], ids=["set", "bytes", "object"])
+def test_a_bad_cell_is_refused_from_the_column_path(bad):
+    rows = [{"a": 1}, {"a": bad}]
+    with pytest.raises(TypeError):
+        reference(rows)
+    with pytest.raises(TypeError):
+        _canonical_json(rows)
+    with pytest.raises(TypeError):
+        _canonical_json([{"a": [1]}, {"a": [bad]}])
+
+
+def test_a_record_list_inside_its_own_row_is_circular():
+    rows = [{"a": 1}, {"a": 2}]
+    rows[1]["a"] = [rows]
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        _canonical_json(rows)

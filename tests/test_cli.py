@@ -52,6 +52,26 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", FIXTURES / "homework.json")
         assert code == 0 and "ok" in out
 
+    def test_a_file_that_is_not_utf8_is_named_and_validate_goes_on(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # starts with a UTF-16 byte-order mark
+        Path("bad.json").write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run(capsys, "validate", "bad.json", FIXTURES / "q4.json")
+        assert (code, err) == (1, "")
+        assert out == (
+            "bad.json: INVALID\n"
+            "  bad.json: [json-syntax] not UTF-8: invalid start byte at byte offset 0\n"
+            f"{FIXTURES / 'q4.json'}: ok\n"
+        )
+
+    def test_a_loader_names_the_file_and_the_offset_of_a_bad_byte(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        # past the first 8 KiB that a text reader decodes at once
+        Path("late.json").write_bytes(b'{"format": 1, "pad": "' + b"a" * 9000 + b'\xe9"}')
+        code, out, err = run(capsys, "loops", "late.json")
+        assert (code, out) == (1, "")
+        assert err == "error: late.json: [json-syntax] not UTF-8: invalid continuation byte at byte offset 9022\n"
+
     def test_bad_file_fails_with_witness(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(

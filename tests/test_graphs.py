@@ -24,6 +24,40 @@ class TestGraph:
         with pytest.raises(ValueError, match="is not a vertex id"):
             mg.Graph(("a", "b"), src, tgt)
 
+    @pytest.mark.parametrize(
+        "src, tgt, bad",
+        [
+            ([0, 2, -1], [1, 0, 0], "2"),
+            ((0, 1), [1, -1], "-1"),
+            ((0, 1.0), (1, "a"), "1.0"),
+            ([0], ["0"], "'0'"),
+        ],
+    )
+    def test_the_first_bad_endpoint_is_named(self, src, tgt, bad):
+        # sources are read before targets, lists and tuples alike
+        with pytest.raises(ValueError, match=rf"^edge endpoint {bad} is not a vertex id$"):
+            mg.Graph(("a", "b"), src, tgt)
+
+    def test_endpoints_may_come_as_lists(self):
+        g = mg.Graph(("a", "b"), [0, 1], (1, 1))
+        assert g.out_adjacency == ((0,), (1,)) and g.in_adjacency == ((), (0, 1))
+
+
+class TestLabeledGraph:
+    @pytest.mark.parametrize(
+        "algebra, labels, bad",
+        [
+            (SIGN, (0, 2, -1), "2"),
+            (SIGN, (1, True), "True"),
+            (SIGN, (0, "+"), "'\\+'"),
+            (mg.named_algebra("NatAdd"), (3, -1, -2), "-1"),
+        ],
+    )
+    def test_the_first_bad_label_is_named(self, algebra, labels, bad):
+        g = mg.graph(["a"], [(0, 0)] * len(labels))
+        with pytest.raises(ValueError, match=rf"^label {bad} is not an element of the algebra$"):
+            mg.LabeledGraph(g, algebra, labels)
+
 
 class TestValidateMorphism:
     def test_identity_is_valid(self):

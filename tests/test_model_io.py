@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import monograph as mg
+from monograph import model_io
 from monograph.model_io import ModelFormatError
 
 from helpers import BOOL, FIXTURES, NAT, S_RIG, SIGN
@@ -375,6 +378,18 @@ BROKEN_MODELS = {
         dict(_table_file(mul_table=[0, 1, 1, 1]), format=1.0),
         ("schema", "[schema] format must be 1, got 1.0"),
     ),
+    "unknown table key": (
+        _table_file(mul_table=[0, 1, 1, 1], mul_tabel=[]),
+        ("schema", "[schema] unknown finite-table algebra keys: ['mul_tabel']"),
+    ),
+    "unknown flag": (
+        _table_file(mul_table=[0, 1, 1, 1], flags={"comutative": True, "cancellative": False}),
+        ("schema", "[schema] unknown flag keys: ['comutative']"),
+    ),
+    "unknown builtin key": (
+        {"format": 1, "algebra": {"kind": "builtin", "builtin_id": "NatAdd", "flags": {}}},
+        ("schema", "[schema] unknown builtin algebra keys: ['flags']"),
+    ),
     "leg key outside its foot": (
         _open_file(leg_in={"x": "a", "y": "zz"}),
         ("schema", "[schema] leg_in names ['y'] outside its foot"),
@@ -388,3 +403,69 @@ def test_parse_messages_are_pinned(name):
     with pytest.raises(ModelFormatError) as info:
         mg.parse_model(json.dumps(obj))
     assert (info.value.code, str(info.value)) == expected
+
+
+# ------------------------------------------- graphs read by columns
+
+# an inline table whose element names repeat: a label names the first
+DUPLICATE_NAMES = {"kind": "finite-table", "elements": ["a", "b", "a"], "mul_table": [0] * 9, "unit": 0}
+ids = st.sampled_from(["a", "b", "c", "1", 1, 2, True, 1.5, None, ["a"]])
+labels = st.sampled_from(["+", "-", "0", "a", "b", "x", 0, 1, -1, "1/2", "1/0", 2.5, True, None])
+
+
+@st.composite
+def graph_objects(draw):
+    """Graph sections, most of them valid: ids from a small pool so that
+    duplicates and dangling endpoints occur, and now and then a missing key,
+    a non-dict entry or a bad name or label."""
+    algebra = draw(st.sampled_from(["SIGN", "SIGN0", "NatAdd", "IntAdd", "RatAdd", DUPLICATE_NAMES]))
+    vertex_ids = draw(st.lists(st.sampled_from(["a", "b", "c", 1, 2]), max_size=5, unique=True))
+    if draw(st.integers(0, 4)) == 0:
+        vertex_ids.append(draw(ids))
+    vertices = [{"id": v} for v in vertex_ids]
+    for vertex in vertices:
+        if draw(st.booleans()):
+            vertex["name"] = draw(st.sampled_from(["x", "y", "", 3, None]) if draw(st.integers(0, 9)) == 0 else st.sampled_from(["x", "y", "é"]))
+    good_ends = st.sampled_from(vertex_ids or ["a"])
+    good_labels = {
+        "SIGN": st.sampled_from(["+", "-"]), "SIGN0": st.sampled_from(["+", "0", "-"]),
+        "NatAdd": st.integers(0, 3), "IntAdd": st.integers(-3, 3), "RatAdd": st.sampled_from([1, "1/2", "-3/4"]),
+    }.get(algebra if isinstance(algebra, str) else "", st.sampled_from(["a", "b"]))
+    edges = []
+    for e in range(draw(st.integers(0, 6))):
+        edge = {"id": f"e{e}", "src": draw(good_ends), "tgt": draw(good_ends), "label": draw(good_labels)}
+        if draw(st.integers(0, 5)) == 0:
+            key = draw(st.sampled_from(["id", "src", "tgt", "label"]))
+            if draw(st.booleans()):
+                del edge[key]
+            else:
+                edge[key] = draw(labels if key == "label" else ids)
+        edges.append(edge)
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from([vertices, edges])).append(draw(st.sampled_from([[], "v", 3, None])))
+    return {"algebra": algebra, "vertices": vertices, "edges": edges}
+
+
+def _outcome(obj):
+    try:
+        graph, vertex_ids, edge_ids = model_io.parse_graph(obj)
+    except ModelFormatError as exc:
+        return exc.code, str(exc)
+    return graph, vertex_ids, edge_ids
+
+
+@settings(max_examples=500, deadline=None)
+@given(graph_objects())
+def test_columns_read_what_the_entry_loop_reads(obj):
+    by_columns = _outcome(obj)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_io, "_graph_columns", lambda *args: None)
+        by_entries = _outcome(obj)
+    assert by_columns == by_entries
+
+
+def test_a_table_label_names_the_first_equal_element():
+    graph, _, _ = model_io.parse_graph(
+        {"algebra": DUPLICATE_NAMES, "vertices": [{"id": "v"}], "edges": [{"id": "e", "src": "v", "tgt": "v", "label": "a"}]}
+    )
+    assert graph.labels == (0,)

@@ -315,3 +315,83 @@ class TestWalkGuard:
         )
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", "error: motif walks 6 from host vertex 0 > guard 5\n")
+
+
+def _seeded_sign_host() -> mg.LabeledGraph:
+    """8 vertices and 11 random edges: every catalog motif matches at path
+    length 1, and no search finds more than 200 matches."""
+    rng = random.Random(0)
+    edges = [(rng.randrange(8), rng.randrange(8)) for _ in range(11)]
+    return mg.labeled_graph([f"h{i}" for i in range(8)], edges, SIGN, [rng.choice("+-") for _ in edges])
+
+
+class TestEveryCatalogMotif:
+    """Every catalog motif at path lengths 1-3 against the unpruned search,
+    at every cap: the lookahead candidates and the matches added per
+    assignment keep the order, the prefixes and the truncation flag."""
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    @pytest.mark.parametrize("name", mg.MOTIF_NAMES)
+    @pytest.mark.parametrize("host_of", [host, _seeded_sign_host], ids=["host.json", "seeded-8"])
+    def test_order_truncation_and_every_cap(self, host_of, name, max_len):
+        h, motif = host_of(), mg.builtin_motif(name)
+        expected, expected_truncated = oracle_find_motifs(motif, h, max_len)
+        expected = keys(expected)
+        assert not expected_truncated
+        found, truncated = mg.find_motifs(motif, h, max_len)
+        assert (keys(found), truncated) == (expected, False)
+        for cap in range(len(expected) + 1):
+            capped, capped_truncated = mg.find_motifs(motif, h, max_len, cap)
+            assert (keys(capped), capped_truncated) == (expected[:cap], cap < len(expected))
+
+
+class _CountingDict(dict):
+    """A dict that counts its membership tests and `get` calls."""
+
+    lookups = 0
+
+    def __contains__(self, key):
+        _CountingDict.lookups += 1
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        _CountingDict.lookups += 1
+        return super().get(key, default)
+
+
+class TestGateGrowth:
+    """A gate places its second source from the walks into the ends its
+    first source reaches, so its table lookups grow with the matches, not
+    with every pair of host vertices."""
+
+    @staticmethod
+    def ladder(n: int) -> mg.LabeledGraph:
+        # i -> i+1 labeled +, i -> i+2 labeled -
+        edges = [(i, i + 1) for i in range(n - 1)] + [(i, i + 2) for i in range(n - 2)]
+        labels = ["+"] * (n - 1) + ["-"] * (n - 2)
+        return mg.labeled_graph([f"h{i}" for i in range(n)], edges, SIGN, labels)
+
+    def test_small_ladder_matches_the_oracle(self):
+        h, motif = self.ladder(9), mg.builtin_motif("gate-pm")
+        assert keys(mg.find_motifs(motif, h, 1)[0]) == keys(oracle_find_motifs(motif, h, 1)[0])
+
+    def test_table_lookups_grow_linearly(self, monkeypatch):
+        n = 2000
+        h, motif = self.ladder(n), mg.builtin_motif("gate-pm")
+
+        class CountingTable(motifs._PathTable):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.by_end_grade = _CountingDict(self.by_end_grade)
+
+        monkeypatch.setattr(motifs, "_PathTable", CountingTable)
+        _CountingDict.lookups = 0
+        matches, truncated = mg.find_motifs(motif, h, 1)
+        # v -> u by the empty path or edge v -> v+1, and w -> u by w -> w+2:
+        # (v, v-2, v) for v >= 2 and (v, v-1, v+1) for 1 <= v <= n-2
+        assert (len(matches), truncated) == (2 * n - 4, False)
+        # at most two candidates for w and two for u per v, two checks each;
+        # trying every w for every v would take about 2n^2
+        assert _CountingDict.lookups <= 8 * n
