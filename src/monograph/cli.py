@@ -85,23 +85,23 @@ def _loop_rows(g, model: ModelFile):
     from .algebra import CATALOG, _coefficient_view
     from .homology import feedback, loop_polarity, simple_loops
 
-    loops, truncated = simple_loops(g.graph)
-    algebra = g.algebra
+    graph, algebra = g.graph, g.algebra
+    loops, truncated = simple_loops(graph)
     has_sum = _coefficient_view(algebra) is not None
     is_sign = algebra == CATALOG["SIGN"]
+    label_text, edge_ids, names = algebra.label_text, model.edge_ids, graph.vertex_names
     rows = []
     for loop in loops:
-        polarity = loop_polarity(loop, g)
-        polarity_text = algebra.label_text(polarity)
+        polarity_text = label_text(loop_polarity(loop, g))
         tag = None
         if is_sign:
             tag = "reinforcing" if polarity_text == "+" else "balancing"
         rows.append(
             {
-                "edges": [model.edge_ids[e] for e in loop.edges],
-                "vertices": [g.graph.vertex_names[v] for v in loop.vertices(g.graph)],
+                "edges": [edge_ids[e] for e in loop.edges],
+                "vertices": [names[v] for v in loop.vertices(graph)],
                 "polarity": polarity_text,
-                "feedback": algebra.label_text(feedback(loop, g)) if has_sum else None,
+                "feedback": label_text(feedback(loop, g)) if has_sum else None,
                 "tag": tag,
             }
         )

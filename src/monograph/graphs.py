@@ -258,21 +258,32 @@ def from_semiautomaton(sa: Semiautomaton, limit: int = TRANSFORMATION_MONOID_LIM
 
 
 def undirected_components(g: Graph) -> list[list[int]]:
-    """Partition vertices into blocks joined by undirected paths."""
+    """Partition vertices into blocks joined by undirected paths, ordered
+    by their least vertex, each ascending.
+
+    Union-find with path halving, linking the larger root below the
+    smaller: a parent is never larger than its child, and a root is the
+    least vertex of its block."""
     parent = list(range(g.n_vertices))
+    for a, b in zip(g.edge_src, g.edge_tgt):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in range(g.n_edges):
-        a, b = find(g.edge_src[e]), find(g.edge_tgt[e])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
+    # ascending, a vertex's parent was met before it and points at its root
+    # by then, and each block is met first at its root
     blocks: dict[int, list[int]] = {}
     for v in range(g.n_vertices):
-        blocks.setdefault(find(v), []).append(v)
-    return [blocks[root] for root in sorted(blocks)]
+        root = parent[v]
+        while parent[root] != root:
+            root = parent[root]
+        parent[v] = root
+        blocks.setdefault(root, []).append(v)
+    return list(blocks.values())

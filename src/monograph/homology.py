@@ -11,14 +11,19 @@ determined by its values on those minimal cycles.
 `cycles` lists every cycle over a finite range of coefficients by
 backtracking over edges, checking each vertex's balance once all its edges
 have values.
+
+Over the naturals the arithmetic is exact and stays in Python ints:
+`find_relations` eliminates by cross-multiplying integer rows (no
+fractions), `decompose_cycle` checks one integer balance per vertex, and
+`feedback` folds a loop's labels without building its chain.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Element, LabelAlgebra, TableAlgebra, algebra_name, named_algebra
@@ -155,6 +160,9 @@ def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:
 def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
     """Validate an edge sequence as a simple loop and canonicalize it."""
     edges = tuple(edges)
+    missing = next((e for e in edges if not 0 <= e < g.n_edges), None)
+    if missing is not None:
+        raise ValueError(f"loop mentions missing edge {missing}")
     for e, e_next in zip(edges, edges[1:] + edges[:1]):
         if g.edge_tgt[e] != g.edge_src[e_next]:
             raise ValueError("edge sequence does not close up into a loop")
@@ -321,20 +329,35 @@ def decompose_cycle(c: Chain, g: Graph) -> list[SimpleLoop]:
     """
     if c.algebra != NAT:
         raise ValueError("decomposition works on natural-number chains")
-    if not is_cycle(c, g):
+    if c.carrier != "edges":
+        raise ValueError("boundary is taken of edge chains")
+    src, tgt, out_adjacency = g.edge_src, g.edge_tgt, g.out_adjacency
+    # out-flow minus in-flow at each vertex; a cycle balances everywhere
+    balance = [0] * g.n_vertices
+    n_edges = g.n_edges
+    for e, x in c.items:
+        if not 0 <= e < n_edges:
+            raise ValueError(f"chain mentions missing edge {e}")
+        balance[src[e]] += x
+        balance[tgt[e]] -= x
+    if any(balance):
         raise ValueError("chain is not a cycle")
+    # every value kept is positive
     work = c.as_dict()
     # each peel zeroes an edge, so there are at most as many as edges
     peels: list[tuple[SimpleLoop, int]] = []
     while work:
         first = min(work)
-        at = g.edge_src[first]
+        at = src[first]
         seen = {at: 0}
         trail: list[int] = []
         while True:
-            step = next(e for e in g.out_adjacency[at] if work.get(e, 0) > 0)
+            # a balanced chain leaves every vertex it enters
+            for step in out_adjacency[at]:
+                if step in work:
+                    break
             trail.append(step)
-            at = g.edge_tgt[step]
+            at = tgt[step]
             if at in seen:
                 loop_edges = trail[seen[at]:]
                 multiplicity = min(work[e] for e in loop_edges)
@@ -369,17 +392,35 @@ def scale_nat(algebra: LabelAlgebra, n: int, x: Element) -> Element:
     return total
 
 
+def _check_edge_ids(ids: Sequence[int], g: Graph) -> None:
+    """Raise for the first of the ascending `ids` that is not an edge of `g`."""
+    if ids and (ids[0] < 0 or ids[-1] >= g.n_edges):
+        missing = next(e for e in ids if not 0 <= e < g.n_edges)
+        raise ValueError(f"chain mentions missing edge {missing}")
+
+
 def feedback(c, g: LabeledGraph) -> Element:
     """The labeling homomorphism applied to a cycle: sum of coefficient-many
-    copies of each edge label in the (commutative) label algebra."""
+    copies of each edge label in the (commutative) label algebra.
+
+    A simple loop is its indicator chain: its labels are added in ascending
+    edge id, each as `scale_nat` adds it once, without building the chain.
+    """
+    algebra, labels = g.algebra, g.labels
+    add = algebra.add
     if isinstance(c, SimpleLoop):
-        c = c.indicator()
+        edges = sorted(set(c.edges))  # the support of its indicator chain
+        zero = total = algebra.zero
+        _check_edge_ids(edges, g.graph)
+        for e in edges:
+            total = add(total, add(zero, labels[e]))
+        return total
     if c.algebra != NAT:
         raise ValueError("feedback needs a natural-number chain")
-    algebra = g.algebra
     total = algebra.zero
+    _check_edge_ids(c.support, g.graph)
     for e, n in c.items:
-        total = algebra.add(total, scale_nat(algebra, n, g.labels[e]))
+        total = add(total, scale_nat(algebra, n, labels[e]))
     return total
 
 
@@ -400,14 +441,18 @@ class Relation:
     rhs: tuple[int, ...]
 
 
-def _subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
-    """row -= factor * other, for sparse rows that omit zero entries."""
-    for col, x in other.items():
-        y = row.get(col, 0) - factor * x
-        if y:
-            row[col] = y
+def _combine(p: int, row: dict[int, int], a: int, other: dict[int, int]) -> dict[int, int]:
+    """p * row - a * other, divided by the gcd of its entries; sparse rows
+    omit zero entries.  Unit pivots are the rule on 0/1 incidence rows."""
+    out = dict(row) if p == 1 else {col: p * x for col, x in row.items()}
+    for col, y in other.items():
+        x = out.get(col, 0) - a * y
+        if x:
+            out[col] = x
         else:
-            del row[col]
+            del out[col]
+    g = math.gcd(*out.values())
+    return out if g < 2 else {col: x // g for col, x in out.items()}
 
 
 def find_relations(
@@ -421,65 +466,75 @@ def find_relations(
 
     Such a pair is (z+, z-) for a nonzero integer vector z with every
     |z_i| <= bound in the kernel of the edge-by-loop incidence matrix, taken
-    once up to sign.  Exact row reduction leaves d = k - rank free
-    coordinates; all (2*bound + 1)^d values of them are tried, keeping those
-    whose pivot coordinates come out integral and within the bound.  Raises
-    ValueError when that count exceeds `guard`, or when `bound` is negative.
+    once up to sign.  Fraction-free Gauss-Jordan elimination over the
+    integers (cross-multiplying, then dividing each row by its gcd) leaves
+    d = k - rank free coordinates; all (2*bound + 1)^d values of them are
+    tried, keeping those whose pivot coordinates come out integral and
+    within the bound.  Raises ValueError when that count exceeds `guard`,
+    or when `bound` is negative.
     """
     if bound < 0:
         raise ValueError(f"coefficient bound must be at least 0, got {bound}")
     k = len(loops)
     base = 2 * bound + 1
-    # one row per edge, counting the loops through it; repeated rows add no rank
-    by_edge: dict[int, dict[int, int]] = {}
+    # one row per edge, listing the loops through it; repeated rows add no rank
+    by_edge: dict[int, list[int]] = {}
     for i, loop in enumerate(loops):
         for e in loop.edges:
-            counts = by_edge.setdefault(e, {})
-            counts[i] = counts.get(i, 0) + 1
-    rows = {tuple(counts.items()) for counts in by_edge.values()}
+            by_edge.setdefault(e, []).append(i)
+    rows = set(map(tuple, by_edge.values()))
     least_free = max(k - len(rows), 0)
     if base ** least_free > guard:
         raise ValueError(_over_guard(f"relation search space at least {base}^{least_free}", guard))
-    # Gauss-Jordan elimination, one row at a time: each pivot row has a 1 in
-    # its pivot column and 0 in every other pivot column
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for items in rows:
-        row = {col: Fraction(x) for col, x in items}
+    # each pivot row is primitive, has a positive entry in its pivot column
+    # and 0 in every other pivot column
+    pivots: dict[int, dict[int, int]] = {}
+    for through in rows:
+        row: dict[int, int] = {}
+        for i in through:
+            row[i] = row.get(i, 0) + 1
         for col, pivot_row in pivots.items():
             if col in row:
-                _subtract(row, row[col], pivot_row)
+                row = _combine(pivot_row[col], row, row[col], pivot_row)
         if not row:
             continue
         col = min(row)
-        lead = row[col]
-        row = {c: x / lead for c, x in row.items()}
-        for pivot_row in pivots.values():
+        g = math.gcd(*row.values())
+        if row[col] < 0:
+            g = -g
+        if g != 1:
+            row = {c: x // g for c, x in row.items()}
+        for other, pivot_row in pivots.items():
             if col in pivot_row:
-                _subtract(pivot_row, pivot_row[col], row)
+                pivots[other] = _combine(row[col], pivot_row, pivot_row[col], row)
         pivots[col] = row
     free = [col for col in range(k) if col not in pivots]
     if base ** len(free) > guard:
         raise ValueError(_over_guard(f"relation search space {base}^{len(free)}", guard))
-    # z[p] = -sum(row[f] * z[f]) over free f, scaled to integers: z[p] = -num / den
+    # den * z[p] + sum(row[f] * z[f]) = 0 over free f, so z[p] = -num / den;
+    # the row is primitive, so den and the terms share no factor.  A pivot
+    # without free terms is 0 in every kernel vector, so it needs no check.
     solved = []
     for col, row in pivots.items():
-        den = math.lcm(*(row[f].denominator for f in free if f in row))
-        solved.append((col, den, [(f, int(row[f] * den)) for f in free if f in row]))
+        terms = tuple(row.get(f, 0) for f in free)
+        if any(terms):
+            solved.append((col, row[col], terms))
+    origin = (0,) * len(free)
     relations = []
     for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):
-        if next((x for x in values if x), 0) <= 0:
-            continue  # zero, or the negative of a vector also tried
+        if values <= origin:
+            continue  # zero, or first nonzero negative: the negative of a vector also tried
         z = [0] * k
-        for f, x in zip(free, values):
-            z[f] = x
         for col, den, terms in solved:
-            num = sum(c * z[f] for f, c in terms)
+            num = sum(map(operator.mul, terms, values))
             if num % den or abs(num) > bound * den:
                 break
             z[col] = -num // den
         else:
-            lhs = tuple(max(x, 0) for x in z)
-            rhs = tuple(max(-x, 0) for x in z)
+            for f, x in zip(free, values):
+                z[f] = x
+            lhs = tuple([max(x, 0) for x in z])
+            rhs = tuple([max(-x, 0) for x in z])
             relations.append(Relation(min(lhs, rhs), max(lhs, rhs)))
     return sorted(relations, key=lambda r: (r.lhs, r.rhs))
 

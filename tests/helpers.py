@@ -5,16 +5,17 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import monograph as mg
 from monograph.homology import LOOP_CAP
 from monograph.open_graphs import _as_parts
-from monograph.validation import AXIOM, STRUCTURE
+from monograph.validation import AXIOM, STRUCTURE, _over_guard
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -296,6 +297,94 @@ def oracle_relations(loops, bound: int):
         for lhs, rhs in itertools.combinations(vectors, 2):
             if all(min(a, b) == 0 for a, b in zip(lhs, rhs)):
                 relations.append(mg.Relation(min(lhs, rhs), max(lhs, rhs)))
+    return sorted(relations, key=lambda r: (r.lhs, r.rhs))
+
+
+def _fraction_subtract(row: dict[int, Fraction], factor: Fraction, other: dict[int, Fraction]) -> None:
+    """row -= factor * other, for sparse rows that omit zero entries."""
+    for col, x in other.items():
+        y = row.get(col, 0) - factor * x
+        if y:
+            row[col] = y
+        else:
+            del row[col]
+
+
+def oracle_relations_by_fractions(
+    loops: Sequence[mg.SimpleLoop], bound: int = 1, guard: int = 10**6
+) -> list[mg.Relation]:
+    """`find_relations` as it was written before its elimination moved to
+    integers: Gauss-Jordan elimination over `Fraction`, kept as an oracle
+    whose loop sets can be larger than `oracle_relations` reaches.
+
+    All bound-limited relations among loop indicator chains.
+
+    Pairs that merely add a common part to both sides of a smaller relation
+    are excluded: sides must have disjoint support.  Symmetric duplicates are
+    reported once, smaller side first.
+
+    Such a pair is (z+, z-) for a nonzero integer vector z with every
+    |z_i| <= bound in the kernel of the edge-by-loop incidence matrix, taken
+    once up to sign.  Exact row reduction leaves d = k - rank free
+    coordinates; all (2*bound + 1)^d values of them are tried, keeping those
+    whose pivot coordinates come out integral and within the bound.  Raises
+    ValueError when that count exceeds `guard`, or when `bound` is negative.
+    """
+    if bound < 0:
+        raise ValueError(f"coefficient bound must be at least 0, got {bound}")
+    k = len(loops)
+    base = 2 * bound + 1
+    # one row per edge, counting the loops through it; repeated rows add no rank
+    by_edge: dict[int, dict[int, int]] = {}
+    for i, loop in enumerate(loops):
+        for e in loop.edges:
+            counts = by_edge.setdefault(e, {})
+            counts[i] = counts.get(i, 0) + 1
+    rows = {tuple(counts.items()) for counts in by_edge.values()}
+    least_free = max(k - len(rows), 0)
+    if base ** least_free > guard:
+        raise ValueError(_over_guard(f"relation search space at least {base}^{least_free}", guard))
+    # Gauss-Jordan elimination, one row at a time: each pivot row has a 1 in
+    # its pivot column and 0 in every other pivot column
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for items in rows:
+        row = {col: Fraction(x) for col, x in items}
+        for col, pivot_row in pivots.items():
+            if col in row:
+                _fraction_subtract(row, row[col], pivot_row)
+        if not row:
+            continue
+        col = min(row)
+        lead = row[col]
+        row = {c: x / lead for c, x in row.items()}
+        for pivot_row in pivots.values():
+            if col in pivot_row:
+                _fraction_subtract(pivot_row, pivot_row[col], row)
+        pivots[col] = row
+    free = [col for col in range(k) if col not in pivots]
+    if base ** len(free) > guard:
+        raise ValueError(_over_guard(f"relation search space {base}^{len(free)}", guard))
+    # z[p] = -sum(row[f] * z[f]) over free f, scaled to integers: z[p] = -num / den
+    solved = []
+    for col, row in pivots.items():
+        den = math.lcm(*(row[f].denominator for f in free if f in row))
+        solved.append((col, den, [(f, int(row[f] * den)) for f in free if f in row]))
+    relations = []
+    for values in itertools.product(range(-bound, bound + 1), repeat=len(free)):
+        if next((x for x in values if x), 0) <= 0:
+            continue  # zero, or the negative of a vector also tried
+        z = [0] * k
+        for f, x in zip(free, values):
+            z[f] = x
+        for col, den, terms in solved:
+            num = sum(c * z[f] for f, c in terms)
+            if num % den or abs(num) > bound * den:
+                break
+            z[col] = -num // den
+        else:
+            lhs = tuple(max(x, 0) for x in z)
+            rhs = tuple(max(-x, 0) for x in z)
+            relations.append(mg.Relation(min(lhs, rhs), max(lhs, rhs)))
     return sorted(relations, key=lambda r: (r.lhs, r.rhs))
 
 

@@ -2,12 +2,14 @@
 
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
+from monograph.algebra import _coefficient_view
 from monograph.homology import LOOP_CAP, NAT, _over_guard, canonical_rotation
 
 from helpers import (
@@ -22,6 +24,7 @@ from helpers import (
     homework,
     minimal_elements,
     oracle_relations,
+    oracle_relations_by_fractions,
     oracle_simple_loops,
     p2,
     q4,
@@ -430,3 +433,147 @@ def test_chain_addition_is_commutative_and_canonical(rnd):
     b = mg.nat_chain({e: rnd.randrange(3) for e in range(g.n_edges)})
     assert mg.chain_add(a, b) == mg.chain_add(b, a)
     assert all(v != 0 for _, v in mg.chain_add(a, b).items)
+
+
+class TestEdgeIdsOutsideTheGraph:
+    def test_simple_loop_names_the_first_missing_edge(self):
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge -2$"):
+            mg.simple_loop(g2(), [-2, -1])
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge 5$"):
+            mg.simple_loop(g2(), [5])
+        # before the closure check, in sequence order
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge 7$"):
+            mg.simple_loop(g2(), [1, 7, -3])
+
+    def test_feedback_names_the_first_missing_edge(self):
+        labeled = mg.LabeledGraph(g2(), SIGN, (0, 1))
+        cases = [
+            (mg.nat_chain({-1: 1}), -1),
+            (mg.SimpleLoop((-2, -1)), -2),
+            (mg.SimpleLoop((0, 5)), 5),
+            (mg.SimpleLoop((9, 0, 4)), 4),
+            (mg.nat_chain({0: 1, 4: 2, 9: 1}), 4),
+        ]
+        for c, missing in cases:
+            with pytest.raises(ValueError, match=rf"^chain mentions missing edge {missing}$"):
+                mg.feedback(c, labeled)
+        # the chain-based checks already refused these
+        with pytest.raises(ValueError, match=r"^chain mentions missing edge -1$"):
+            mg.is_cycle(mg.nat_chain({-1: 1}), g2())
+        with pytest.raises(ValueError, match="path edge 5 does not exist"):
+            mg.loop_polarity(mg.SimpleLoop((0, 5)), labeled)
+
+
+def _random_rig(rnd) -> mg.TableAlgebra:
+    """Random operation tables: a rig in name only, most laws broken."""
+    n = rnd.randint(1, 4)
+    return mg.TableAlgebra(
+        tuple(f"x{i}" for i in range(n)),
+        tuple(rnd.randrange(n) for _ in range(n * n)),
+        rnd.randrange(n),
+        tuple(rnd.randrange(n) for _ in range(n * n)),
+        rnd.randrange(n),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_loop_feedback_equals_its_indicator_chains(rnd):
+    g = rand_graph(rnd, 5, 9)
+    loops, _ = mg.simple_loops(g)
+    tables = [a for a in mg.CATALOG.values() if _coefficient_view(a) is not None]
+    for algebra in [NAT, *tables, _random_rig(rnd)]:
+        draw = (lambda: rnd.randrange(5)) if algebra == NAT else (lambda: rnd.randrange(algebra.size))
+        labeled = mg.LabeledGraph(g, algebra, tuple(draw() for _ in range(g.n_edges)))
+        for loop in loops:
+            assert mg.feedback(loop, labeled) == mg.feedback(loop.indicator(), labeled)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_decomposition_or_its_error_follows_is_cycle(rnd):
+    g = rand_graph(rnd, 5, 8)
+    loops, _ = mg.simple_loops(g)
+    coeffs: dict[int, int] = {}
+    for loop in loops:
+        for _ in range(rnd.choice((0, 0, 1, 2))):
+            for e in loop.edges:
+                coeffs[e] = coeffs.get(e, 0) + 1
+    if rnd.random() < 0.3 and g.n_edges:
+        e = rnd.randrange(g.n_edges)
+        coeffs[e] = coeffs.get(e, 0) + rnd.randint(1, 2)  # most likely no longer a cycle
+    if rnd.random() < 0.15:
+        coeffs[rnd.choice((-1, g.n_edges, g.n_edges + 3))] = 1
+    c = mg.chain(NAT, coeffs, rnd.choice(("edges",) * 9 + ("vertices",)))
+    try:
+        balanced = mg.is_cycle(c, g)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            mg.decompose_cycle(c, g)
+        return
+    if not balanced:
+        with pytest.raises(ValueError, match=r"^chain is not a cycle$"):
+            mg.decompose_cycle(c, g)
+        return
+    parts = mg.decompose_cycle(c, g)
+    assert parts == sorted(parts, key=lambda loop: loop.edges)
+    assert {p.edges for p in parts} <= {loop.edges for loop in loops}
+    total: dict[int, int] = {}
+    for p in parts:
+        for e in p.edges:
+            total[e] = total.get(e, 0) + 1
+    assert mg.nat_chain(total) == c
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_components_match_the_bfs_oracle_block_for_block(rnd):
+    g = rand_graph(rnd, 14, 16)
+    assert mg.undirected_components(g) == bfs_components(g)
+
+
+def _bundle(m: int, n: int) -> list[mg.SimpleLoop]:
+    """The mn simple loops of m parallel u -> v edges and n parallel v -> u edges."""
+    loops, _ = mg.simple_loops(mg.graph(["u", "v"], [(0, 1)] * m + [(1, 0)] * n))
+    return loops
+
+
+def _outcome(search, loops, bound, guard):
+    try:
+        return search(loops, bound, guard)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRelationsAgainstFractions:
+    """The integer elimination against the `Fraction` one it replaced, on
+    loop sets past the reach of the exhaustive `oracle_relations`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_the_fraction_elimination(self, rnd):
+        if rnd.random() < 0.4:
+            m = rnd.randint(2, 5)
+            loops = _bundle(m, rnd.randint(-(-9 // m), 16 // m))
+        else:
+            loops = []
+            while len(loops) < 9:
+                loops, _ = mg.simple_loops(rand_graph(rnd, 5, 11))
+            loops = sorted(rnd.sample(loops, rnd.randint(9, min(16, len(loops)))), key=lambda loop: loop.edges)
+        assert 9 <= len(loops) <= 16
+        for bound in (0, 1, 2, 3):
+            guard = rnd.choice((1, 10, 100, 1000, 5000))
+            expected = _outcome(oracle_relations_by_fractions, loops, bound, guard)
+            assert _outcome(mg.find_relations, loops, bound, guard) == expected
+
+    def test_bundle_relation_counts(self):
+        assert _bundle(2, 3) == mg.simple_loops(r5())[0]
+        for (m, n), counts in (((2, 3), [3, 9, 18]), ((3, 3), [15, 108, 405])):
+            assert [len(mg.find_relations(_bundle(m, n), b)) for b in (1, 2, 3)] == counts
+        assert len(mg.find_relations(_bundle(4, 4), 1)) == 1185
+
+    def test_bundle_guard_texts(self):
+        with pytest.raises(ValueError, match=r"^relation search space 5\^9 > guard 10\^6$"):
+            mg.find_relations(_bundle(4, 4), 2)
+        with pytest.raises(ValueError, match=r"^relation search space at least 3\^15 > guard 10\^6$"):
+            mg.find_relations(_bundle(5, 5), 1)
