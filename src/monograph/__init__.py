@@ -27,7 +27,7 @@ _EXPORTS = {
         "KleisliMorphism", "Path", "compose_kleisli", "compose_paths", "grade",
         "is_kleisli_morphism", "kleisli_identity", "kleisli_respects_hom", "path_end",
     ),
-    "motifs": ("MOTIF_NAMES", "builtin_motif", "find_motifs", "paths_between"),
+    "motifs": ("MOTIF_NAMES", "builtin_motif", "find_motif_groups", "find_motifs", "paths_between"),
     "open_graphs": (
         "OpenGraph", "OpenGraphMap", "check_2morphism", "compose", "compose_2morphisms",
         "empty_open", "grothendieck_morphism_check", "identity_open", "iso_check", "tensor",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -128,7 +129,8 @@ def cmd_loops(args) -> int:
 
 
 def cmd_motif(args) -> int:
-    from .motifs import MOTIF_NAMES, builtin_motif, find_motifs
+    from .model_io import _match_groups_json
+    from .motifs import MOTIF_NAMES, builtin_motif, find_motif_groups
 
     host_model = _load(args.host)
     host = _graph_of(host_model, args.host)
@@ -137,31 +139,26 @@ def cmd_motif(args) -> int:
     else:
         motif = _graph_of(_load(args.motif), args.motif)
     limits = {key: getattr(args, key) for key in ("max_path_len", "max_results") if getattr(args, key) is not None}
-    matches, truncated = find_motifs(motif, host, **limits)
-    # every path chosen for motif edge e grades to the motif's label on e;
-    # the library's tuples go out as they are, so the emitter writes each
-    # shared vertex map, path and the grades once
-    grades = tuple(host.algebra.label_text(x) for x in motif.labels)
-    payload = {
-        "matches": [
-            {
-                "vertex_map": k.vertex_map,
-                "edge_paths": [p.edges for p in k.edge_map],
-                "grades": grades,
-            }
-            for k in matches
-        ],
-        "truncated": truncated,
-    }
+    # one group per vertex assignment: its matches are the product of its
+    # walk lists, written out without a record per match
+    groups, truncated = find_motif_groups(motif, host, **limits)
     if args.json:
-        _emit_json(payload)
+        # every walk chosen for motif edge e grades to the motif's label on e
+        print(_match_groups_json(groups, [host.algebra.label_text(x) for x in motif.labels], truncated))
         return 0
-    print(f"{len(matches)} match(es)" + (" (truncated)" if truncated else ""))
+    total = sum(count for _, _, count in groups)
+    lines = [f"{total} match(es)" + (" (truncated)" if truncated else "")]
     motif_names, host_names, edge_ids = motif.graph.vertex_names, host.graph.vertex_names, host_model.edge_ids
-    for i, k in enumerate(matches):
-        vertices = ", ".join(f"{motif_names[v]} -> {host_names[w]}" for v, w in enumerate(k.vertex_map))
-        paths = ", ".join("[" + ", ".join(edge_ids[e] for e in p.edges) + "]" for p in k.edge_map)
-        print(f"  match {i}: {vertices}; paths {paths}")
+    walk_texts: dict[int, list[str]] = {}  # id of a walk list -> its walks' texts
+    for vertex_map, walks, count in groups:
+        vertices = ", ".join(f"{motif_names[v]} -> {host_names[w]}" for v, w in enumerate(vertex_map))
+        for listed in walks:
+            if id(listed) not in walk_texts:
+                walk_texts[id(listed)] = ["[" + ", ".join([edge_ids[e] for e in walk]) + "]" for walk in listed]
+        combos = itertools.islice(itertools.product(*[walk_texts[id(listed)] for listed in walks]), count)
+        first = len(lines) - 1
+        lines.extend(f"  match {first + i}: {vertices}; paths {', '.join(combo)}" for i, combo in enumerate(combos))
+    print("\n".join(lines))
     return 0
 
 

@@ -137,12 +137,16 @@ class SimpleLoop:
             raise ValueError("a loop has at least one edge")
 
     def vertices(self, g: Graph) -> tuple[int, ...]:
+        _check_loop_edges(self.edges, g)
         return tuple(g.edge_src[e] for e in self.edges)
 
     def indicator(self) -> Chain:
         return nat_chain({e: 1 for e in self.edges})
 
     def as_path(self, g: Graph) -> Path:
+        """The loop as a path from its first edge's source; `check_path`
+        names a later edge that is missing."""
+        _check_loop_edges(self.edges[:1], g)
         return Path(g.edge_src[self.edges[0]], self.edges)
 
 
@@ -157,12 +161,17 @@ def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
+def _check_loop_edges(edges: Sequence[int], g: Graph) -> None:
+    """Raise for the first of `edges`, in sequence order, that is not an edge of `g`."""
+    if edges and (min(edges) < 0 or max(edges) >= g.n_edges):
+        missing = next(e for e in edges if not 0 <= e < g.n_edges)
+        raise ValueError(f"loop mentions missing edge {missing}")
+
+
 def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
     """Validate an edge sequence as a simple loop and canonicalize it."""
     edges = tuple(edges)
-    missing = next((e for e in edges if not 0 <= e < g.n_edges), None)
-    if missing is not None:
-        raise ValueError(f"loop mentions missing edge {missing}")
+    _check_loop_edges(edges, g)
     for e, e_next in zip(edges, edges[1:] + edges[:1]):
         if g.edge_tgt[e] != g.edge_src[e_next]:
             raise ValueError("edge sequence does not close up into a loop")
@@ -291,18 +300,23 @@ def simple_loops(g: Graph, cap: int = LOOP_CAP):
     Johnson's algorithm: anchor `s` searches only inside its strongly
     connected component of the subgraph induced on {s, ..., n-1}.  After
     the search `s` leaves the graph and only its own component is split
-    again, so vertices on no circuit cost O(1) each.
+    again, so vertices on no circuit cost O(1) each.  A component with as
+    many internal edges as vertices (at least two) is one circuit: it is
+    walked from `s` and leaves the graph whole, without a search or a split.
     """
     found: list[SimpleLoop] = []
     # comp[v]: the id of v's component, an index into `members`; -1 before
-    # the first split and once v has been an anchor
+    # the first split, once v has been an anchor, and once its ring is found
     comp = [-1] * g.n_vertices
     members: list[list[int]] = []
     if g.n_vertices:
         _split_components(list(range(g.n_vertices)), comp, members, g)
     out_adjacency, edge_tgt = g.out_adjacency, g.edge_tgt
     for s in range(g.n_vertices):
-        block = members[comp[s]]
+        inside = comp[s]
+        if inside < 0:
+            continue  # on a ring an earlier anchor recorded
+        block = members[inside]
         if len(block) == 1:
             # only self-loops close here, and no later search enters `s`
             for e in out_adjacency[s]:
@@ -310,6 +324,22 @@ def simple_loops(g: Graph, cap: int = LOOP_CAP):
                     found.append(SimpleLoop((e,)))
                     if len(found) >= cap:
                         return sorted(found, key=lambda loop: loop.edges), True
+            continue
+        # each vertex of a strongly connected block has an internal edge
+        # out, so a block with no more internal edges than vertices is a
+        # ring, and its i-th internal edge leaves its i-th vertex
+        internal = (e for v in block for e in out_adjacency[v] if comp[edge_tgt[e]] == inside)
+        ring = list(itertools.islice(internal, len(block) + 1))
+        if len(ring) == len(block):
+            step = dict(zip(block, ring))
+            trail = [step[s]]
+            while edge_tgt[trail[-1]] != s:
+                trail.append(step[edge_tgt[trail[-1]]])
+            found.append(SimpleLoop(canonical_rotation(trail)))
+            if len(found) >= cap:
+                return sorted(found, key=lambda loop: loop.edges), True
+            for v in block:
+                comp[v] = -1
             continue
         if not _circuits_through(s, comp, g, found, cap):
             return sorted(found, key=lambda loop: loop.edges), True

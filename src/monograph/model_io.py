@@ -8,7 +8,8 @@ to dense internal indices at parse time.  Emission is canonical:
 sort_keys=True)`` writes (sorted keys, two-space indent, ASCII escapes),
 and a model file ends in a newline, so identical models give
 byte-identical files.  The CLI's `--json` output goes through the same
-emitter.
+emitter, except `motif --json`: `_match_groups_json` writes the same text
+from the search's product form, without a record per match.
 """
 
 from __future__ import annotations
@@ -479,25 +480,14 @@ def _bracketed(lists: dict, texts, nl: str) -> dict:
 
 def _list_texts(cells, nl: str) -> Optional[list]:
     """The text of each list or tuple in `cells`, written at newline `nl`,
-    when each holds only scalars or only lists and tuples of scalars; None
-    otherwise.  Each distinct list (by id) is written once: `cells` holds
-    them all for the call, so no id is reused.  Every step runs in C."""
+    when all hold only scalars; None otherwise.  Each distinct list (by id)
+    is written once: `cells` holds them all for the call, so no id is
+    reused.  Every step runs in C."""
     outer = dict(zip(map(id, cells), cells))
-    kinds = set(map(type, itertools.chain.from_iterable(outer.values())))
-    encode = _encoder(kinds)
+    encode = _encoder(set(map(type, itertools.chain.from_iterable(outer.values()))))
     if encode is None:
-        if not kinds <= _LISTS:
-            return None
-        # one level down: the distinct inner lists, each written once
-        items = list(itertools.chain.from_iterable(outer.values()))
-        inner = dict(zip(map(id, items), items))
-        encode = _encoder(set(map(type, itertools.chain.from_iterable(inner.values()))))
-        if encode is None:
-            return None
-        encode = _bracketed(inner, map(map, itertools.repeat(encode), inner.values()), nl + "  ").__getitem__
-        texts = map(map, itertools.repeat(encode), map(map, itertools.repeat(id), outer.values()))
-    else:
-        texts = map(map, itertools.repeat(encode), outer.values())
+        return None
+    texts = map(map, itertools.repeat(encode), outer.values())
     return list(map(_bracketed(outer, texts, nl).__getitem__, map(id, cells)))
 
 
@@ -609,6 +599,40 @@ def _canonical_json(obj: Any) -> str:
             comma = "," + inner
             close = nl + ("}" if is_dict else "]")
             emit("{" if is_dict else "[")
+
+
+def _match_groups_json(groups: list, grades: list[str], truncated: bool) -> str:
+    """`_canonical_json` of ``{"matches": [...], "truncated": truncated}``
+    with one record ``{"vertex_map": ..., "edge_paths": ..., "grades":
+    grades}`` per match, written from `motifs.find_motif_groups`' groups
+    without building the records.
+
+    Each distinct walk list is written once and the grades once; a walk
+    is one `%` of the format for its length, and a record is one `%` of
+    one template over ``itertools.product`` of its group's walk texts and
+    vertex map.
+    """
+    nl, cell_nl, walk_nl = "\n" + " " * 6, "\n" + " " * 8, "\n" + " " * 10
+
+    def bracketed(items: list, inner: str = cell_nl, close: str = nl) -> str:
+        return "[" + inner + ("," + inner).join(items) + close + "]" if items else "[]"
+
+    # id -> each distinct walk list, and then the texts of its walks
+    lists = {id(walks): walks for _, group, _ in groups for walks in group}
+    longest = max(map(len, itertools.chain.from_iterable(lists.values())), default=0)
+    formats = [bracketed(["%d"] * n, walk_nl, cell_nl) for n in range(longest + 1)]
+    walk_texts = {ident: [formats[len(walk)] % walk for walk in walks] for ident, walks in lists.items()}
+    # a record's slots: a walk text per motif edge, then a host vertex per
+    # motif vertex; a `%` in a grade is doubled, so only they fill it
+    template = "{" + nl + '"edge_paths": ' + bracketed(["%s"] * len(grades)) + "," + nl + '"grades": '
+    template += bracketed(list(map(_encode_str, grades))).replace("%", "%%") + "," + nl + '"vertex_map": '
+    template += bracketed(["%d"] * (len(groups[0][0]) if groups else 0)) + "\n    }"
+    records: list[str] = []
+    for vertex_map, group, count in groups:
+        combos = itertools.product(*[walk_texts[id(walks)] for walks in group], *zip(vertex_map))
+        records.extend(map(template.__mod__, itertools.islice(combos, count)))
+    matches = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
+    return '{\n  "matches": ' + matches + ',\n  "truncated": ' + ("true" if truncated else "false") + "\n}"
 
 
 def emit_model(model: ModelFile) -> str:

@@ -5,13 +5,17 @@ host path to each motif edge, with matching endpoints and grade.  Arbitrary
 path lengths would make the search unbounded, so a length limit is part of
 the interface.
 
-The search walks the host once per source vertex it touches, grouping the
+The search walks the host once per source vertex it touches, filing the
 walks by (end, grade), and then assigns motif vertices by backtracking,
 checking each motif edge against those tables as soon as both its endpoints
 are placed, and drawing a vertex's candidates from the tables of placed
 neighbours at either end of its edges (candidate filtering as in Ullmann,
 J. ACM 1976, and VF2, Cordella et al., IEEE TPAMI 2004).  No step recurses,
 so deep hosts and long path limits never exhaust the interpreter's stack.
+
+The occurrences of one vertex assignment are the product of the walk lists
+of the motif's edges.  `find_motif_groups` returns them in that form, and
+`find_motifs` expands it into one `KleisliMorphism` per occurrence.
 """
 
 from __future__ import annotations
@@ -21,86 +25,55 @@ import itertools
 import math
 
 from .algebra import CATALOG
-from .graphs import Graph, LabeledGraph, labeled_graph
+from .graphs import LabeledGraph, labeled_graph
 from .paths import KleisliMorphism, Path
 from .validation import _over_guard
 
 DEFAULT_MAX_PATH_LEN = 6
-# the most walks `find_motifs` tables from one host vertex: a dense host at
+DEFAULT_MAX_RESULTS = 10000
+# the most walks a search tables from one host vertex: a dense host at
 # a long path limit has exponentially many, and each is held in memory
 _WALK_GUARD = 10**6
 
 
-def _walk_tree(
-    g: Graph, start: int, max_len: int, guard: float = math.inf
-) -> tuple[list[int], list[int], list[int]]:
-    """Every walk of at most `max_len` edges from `start`, as a prefix tree
-    in lexicographic edge-id order, prefixes first.
-
-    Returns ``(parents, edges, ends)``: walk 0 is the empty walk at `start`,
-    and walk i > 0 is walk ``parents[i]`` followed by edge ``edges[i]``,
-    ending at ``ends[i]``.  An explicit stack keeps the depth of recursion
-    constant, and the tree costs O(walks) however long they are.  Raises
-    ValueError as soon as the tree holds more than `guard` walks.
-    """
-    out_adjacency, edge_tgt = g.out_adjacency, g.edge_tgt
-    parents, edges, ends = [0], [-1], [start]
-    stack = [(0, e, 1) for e in reversed(out_adjacency[start])] if max_len > 0 else []
-    while stack and len(parents) <= guard:
-        parent, e, depth = stack.pop()
-        walk = len(parents)
-        at = edge_tgt[e]
-        parents.append(parent)
-        edges.append(e)
-        ends.append(at)
-        if depth < max_len:
-            stack.extend([(walk, f, depth + 1) for f in reversed(out_adjacency[at])])
-    if len(parents) > guard:
-        raise ValueError(_over_guard(f"motif walks {len(parents)} from host vertex {start}", guard))
-    return parents, edges, ends
-
-
-def _edges_of(walk: int, parents: list[int], edges: list[int]) -> tuple[int, ...]:
-    """The edge sequence of a walk, read back through its prefixes."""
-    trail = []
-    while walk:
-        trail.append(edges[walk])
-        walk = parents[walk]
-    trail.reverse()
-    return tuple(trail)
-
-
-def paths_between(host: LabeledGraph, start: int, end: int, max_len: int) -> list[Path]:
-    """All paths from start to end with at most `max_len` edges, in
-    lexicographic edge-id order (the empty path first when start == end)."""
-    parents, edges, ends = _walk_tree(host.graph, start, max_len)
-    return [Path(start, _edges_of(walk, parents, edges)) for walk, at in enumerate(ends) if at == end]
-
-
 class _PathTable:
-    """The walks of at most `max_len` edges from one host vertex, by
-    (end, grade), each list in walk order.
+    """The walks of at most `max_len` edges from one host vertex, as
+    edge-id tuples filed by (end, grade), each list in walk order:
+    lexicographic in edge ids, prefixes first.
 
-    Grades follow `paths.grade`: grade(p + e) = mul(label[e], grade(p)),
-    and the empty walk grades to the unit.  The `Path`s of one (end, grade)
-    are built the first time a match uses them, and every later match
-    shares them.
+    One pass walks, grades and files them.  An explicit stack of (last
+    edge, prefix, grade of the prefix) keeps the depth of recursion
+    constant.  Grades follow `paths.grade`: grade(p + e) = mul(label[e],
+    grade(p)), and the empty walk grades to the unit.  Raises ValueError
+    as soon as the table holds more than `_WALK_GUARD` walks.
     """
 
-    __slots__ = ("start", "parents", "edges", "by_end_grade", "_ends", "_paths")
+    __slots__ = ("by_end_grade", "_ends")
 
     def __init__(self, host: LabeledGraph, start: int, max_len: int):
-        mul, labels = host.algebra.mul, host.labels
-        self.start = start
-        self.parents, self.edges, ends = _walk_tree(host.graph, start, max_len, _WALK_GUARD)
-        grades = [host.algebra.one]
-        for parent, e in itertools.islice(zip(self.parents, self.edges), 1, None):
-            grades.append(mul(labels[e], grades[parent]))
-        self.by_end_grade: dict[tuple, list[int]] = {}
-        for walk, key in enumerate(zip(ends, grades)):
-            self.by_end_grade.setdefault(key, []).append(walk)
+        out_adjacency, edge_tgt = host.graph.out_adjacency, host.graph.edge_tgt
+        mul, labels, one = host.algebra.mul, host.labels, host.algebra.one
+        guard = _WALK_GUARD
+        by_end_grade: dict[tuple, list[tuple[int, ...]]] = {(start, one): [()]}
+        walks = 1
+        stack = [(e, (), one) for e in reversed(out_adjacency[start])] if max_len > 0 else []
+        while stack and walks <= guard:
+            e, prefix, value = stack.pop()
+            walks += 1
+            walk = prefix + (e,)
+            at = edge_tgt[e]
+            value = mul(labels[e], value)
+            filed = by_end_grade.get((at, value))
+            if filed is None:
+                by_end_grade[at, value] = [walk]
+            else:
+                filed.append(walk)
+            if len(walk) < max_len:
+                stack.extend([(f, walk, value) for f in reversed(out_adjacency[at])])
+        if walks > guard:
+            raise ValueError(_over_guard(f"motif walks {walks} from host vertex {start}", guard))
+        self.by_end_grade = by_end_grade
         self._ends: dict = {}
-        self._paths: dict[tuple, list[Path]] = {}
 
     def ends_with(self, value) -> list[int]:
         """The ends of the walks grading to `value`, ascending."""
@@ -109,28 +82,34 @@ class _PathTable:
             ends = self._ends[value] = sorted(at for at, grade in self.by_end_grade if grade == value)
         return ends
 
-    def paths(self, key: tuple) -> list[Path]:
-        """The paths of the walks filed under `key`, (end, grade), in walk order."""
-        paths = self._paths.get(key)
-        if paths is None:
-            start, parents, edges = self.start, self.parents, self.edges
-            paths = self._paths[key] = [Path(start, _edges_of(w, parents, edges)) for w in self.by_end_grade[key]]
-        return paths
+
+def paths_between(host: LabeledGraph, start: int, end: int, max_len: int) -> list[Path]:
+    """All paths from start to end with at most `max_len` edges, in
+    lexicographic edge-id order (the empty path first when start == end).
+    Raises ValueError when `start` has more than `_WALK_GUARD` (10^6)
+    walks within the limit."""
+    by_end_grade = _PathTable(host, start, max_len).by_end_grade
+    walks = itertools.chain.from_iterable([w for (at, _), w in by_end_grade.items() if at == end])
+    return [Path(start, walk) for walk in sorted(walks)]
 
 
-def find_motifs(
+def find_motif_groups(
     motif: LabeledGraph,
     host: LabeledGraph,
     max_path_len: int = DEFAULT_MAX_PATH_LEN,
-    max_results: int = 10000,
+    max_results: int = DEFAULT_MAX_RESULTS,
 ):
-    """All occurrences of `motif` in `host` with edge images of bounded length.
+    """The occurrences of `motif` in `host`, one group per vertex assignment.
 
-    Returns ``(matches, truncated)``.  Matches come in a deterministic
-    lexicographic order: by vertex assignment first, then by the edge-id
-    sequences of the chosen paths.  Raises ValueError when a host vertex
-    it searches from has more than `_WALK_GUARD` (10^6) walks within the
-    limit.
+    Returns ``(groups, truncated)``.  A group is ``(vertex_map, walks,
+    count)``: `walks` holds, per motif edge, the edge-id tuples of the host
+    walks that fit it, in lexicographic order, and the group's matches are
+    the first `count` tuples of ``itertools.product(*walks)``, one walk per
+    motif edge.  `count` is the whole product except in the group the cap
+    cuts, and is never 0.  Groups come by vertex assignment, ascending, so
+    their matches in turn are `find_motifs`' matches, with the same cap
+    prefix and `truncated` flag.  The walk lists are shared between groups
+    and must not be changed.  Raises ValueError as `find_motifs` does.
     """
     if motif.algebra != host.algebra:
         raise ValueError("motif and host must share one label algebra")
@@ -189,19 +168,22 @@ def find_motifs(
         ends = table_at(assignment[m_src[f]]).ends_with(m_labels[f])
         return iter(sorted(set().union(*[starts.get((x, label), ()) for x in ends])))
 
-    fits: list = [None] * m_graph.n_edges  # per motif edge: (table, (end, grade))
+    fits: list = [None] * m_graph.n_edges  # per motif edge: the walks that fit it
     assignment = [-1] * k
     trying = [candidates(0)] if k else []  # per placed level: host vertices left to try
-    matches: list[KleisliMorphism] = []
+    groups: list[tuple] = []
+    left = max_results  # matches the cap still allows
     level = 0
     while level >= 0:
         if level == k:
-            # every choice of one path per motif edge, in lexicographic order
-            combos = itertools.product(*[table.paths(key) for table, key in fits])
-            match = functools.partial(KleisliMorphism, motif, host, tuple(assignment))
-            matches.extend(map(match, itertools.islice(combos, max_results - len(matches))))
-            if next(combos, None) is not None:
-                return matches, True
+            walks = tuple(fits)
+            size = math.prod(map(len, walks))
+            if size > left:
+                if left:
+                    groups.append((tuple(assignment), walks, left))
+                return groups, True
+            groups.append((tuple(assignment), walks, size))
+            left -= size
             level -= 1
             continue
         v = next(trying[level], None)
@@ -213,16 +195,47 @@ def find_motifs(
         if level == 0 and one_source:
             tables.clear()
         for e in checks[level]:
-            table = table_at(assignment[m_src[e]])
-            key = (assignment[m_tgt[e]], m_labels[e])
-            if key not in table.by_end_grade:
+            listed = table_at(assignment[m_src[e]]).by_end_grade.get((assignment[m_tgt[e]], m_labels[e]))
+            if listed is None:
                 break
-            fits[e] = (table, key)
+            fits[e] = listed
         else:
             level += 1
             if level < k:
                 trying.append(candidates(level))
-    return matches, False
+    return groups, False
+
+
+def find_motifs(
+    motif: LabeledGraph,
+    host: LabeledGraph,
+    max_path_len: int = DEFAULT_MAX_PATH_LEN,
+    max_results: int = DEFAULT_MAX_RESULTS,
+):
+    """All occurrences of `motif` in `host` with edge images of bounded length.
+
+    Returns ``(matches, truncated)``.  Matches come in a deterministic
+    lexicographic order: by vertex assignment first, then by the edge-id
+    sequences of the chosen paths.  Raises ValueError when a host vertex
+    it searches from has more than `_WALK_GUARD` (10^6) walks within the
+    limit.  The matches are `find_motif_groups`' products, expanded; the
+    matches of one walk list share its `Path`s.
+    """
+    groups, truncated = find_motif_groups(motif, host, max_path_len, max_results)
+    m_src = motif.graph.edge_src
+    paths: dict[int, list[Path]] = {}  # id of a walk list -> its paths
+    matches: list[KleisliMorphism] = []
+    for vertex_map, walks, count in groups:
+        images = []
+        for s, listed in zip(m_src, walks):
+            shared = paths.get(id(listed))
+            if shared is None:
+                start = vertex_map[s]
+                shared = paths[id(listed)] = [Path(start, walk) for walk in listed]
+            images.append(shared)
+        match = functools.partial(KleisliMorphism, motif, host, vertex_map)
+        matches.extend(map(match, itertools.islice(itertools.product(*images), count)))
+    return matches, truncated
 
 
 def _sign_motif(vertices, edges):

@@ -578,6 +578,34 @@ class TestMotifCli:
         assert code == 0
         assert out == "2 match(es) (truncated)\n  match 0: v -> A; paths []\n  match 1: v -> A; paths [ab, bc, ca]\n"
 
+    def test_result_cap_inside_one_assignment(self, capsys):
+        # v -> B, w -> D has the walks [bc, cd] and [bd1] for each of the
+        # two parallel edges; the cap keeps the first two of those four
+        base = ["motif", "--motif", "coherent-feedforward", "--host", FIXTURES / "host.json",
+                "--max-path-len", "2", "--max-results", "6"]
+        code, out, _ = run(capsys, *base)
+        assert code == 0
+        assert out == (
+            "6 match(es) (truncated)\n"
+            "  match 0: v -> A, w -> A; paths [], []\n"
+            "  match 1: v -> A, w -> D; paths [ab, bd2], [ab, bd2]\n"
+            "  match 2: v -> B, w -> B; paths [], []\n"
+            "  match 3: v -> B, w -> C; paths [bc], [bc]\n"
+            "  match 4: v -> B, w -> D; paths [bc, cd], [bc, cd]\n"
+            "  match 5: v -> B, w -> D; paths [bc, cd], [bd1]\n"
+        )
+        code, out, _ = run(capsys, *base, "--json")
+        assert code == 0
+        paths = [[[], []], [[0, 3], [0, 3]], [[], []], [[1], [1]], [[1, 8], [1, 8]], [[1, 8], [2]]]
+        vertex_maps = [[0, 0], [0, 3], [1, 1], [1, 2], [1, 3], [1, 3]]
+        expected = {
+            "matches": [
+                {"edge_paths": p, "grades": ["+", "+"], "vertex_map": v} for p, v in zip(paths, vertex_maps)
+            ],
+            "truncated": True,
+        }
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
     def test_motif_from_file(self, capsys, tmp_path):
         motif_path = tmp_path / "motif.json"
         motif_path.write_text(

@@ -147,6 +147,85 @@ class TestSimpleLoops:
             assert {c for c in minimal} == {l.indicator() for l in loops}
 
 
+def _shuffled(rnd, n: int, edges: list) -> mg.Graph:
+    """`edges` on n vertices, with vertex ids and edge order shuffled."""
+    names = list(range(n))
+    rnd.shuffle(names)
+    edges = [(names[s], names[t]) for s, t in edges]
+    rnd.shuffle(edges)
+    return mg.graph([f"v{i}" for i in range(n)], edges)
+
+
+def _cycle(vertices: list) -> list:
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+class TestRings:
+    """A block with as many internal edges as vertices is recorded as one
+    circuit without Johnson's search; the loops, their order and every cap
+    prefix stay those of the unpruned search."""
+
+    CAPS = (1, 2, 3, LOOP_CAP)
+
+    def check(self, g: mg.Graph):
+        for cap in self.CAPS:
+            assert mg.simple_loops(g, cap) == oracle_simple_loops(g, cap)
+
+    def test_single_rings(self):
+        rnd = random.Random(3)
+        for n in range(2, 9):
+            self.check(_shuffled(rnd, n, _cycle(list(range(n)))))
+
+    def test_disjoint_rings_with_edges_between_them(self):
+        rnd = random.Random(5)
+        for _ in range(20):
+            sizes = [rnd.randint(1, 5) for _ in range(rnd.randint(2, 4))]
+            starts = [sum(sizes[:i]) for i in range(len(sizes))]
+            edges = [e for start, k in zip(starts, sizes) for e in _cycle(list(range(start, start + k)))]
+            # edges from earlier rings to later ones join no two blocks
+            edges += [(rnd.randrange(start), rnd.randrange(start, sum(sizes))) for start in starts[1:]]
+            self.check(_shuffled(rnd, sum(sizes), edges))
+
+    def test_a_ring_with_a_chord_or_a_self_loop_is_searched(self):
+        rnd = random.Random(7)
+        for n in range(3, 8):
+            ring = _cycle(list(range(n)))
+            for extra in ((0, n // 2), (n - 1, 1), (2, 2), (0, 1)):
+                self.check(_shuffled(rnd, n, ring + [extra]))
+
+    def test_figure_eight(self):
+        rnd = random.Random(11)
+        for a in range(2, 6):
+            for b in range(2, 6):
+                # two rings through vertex 0
+                edges = _cycle(list(range(a))) + _cycle([0] + list(range(a, a + b - 1)))
+                self.check(_shuffled(rnd, a + b - 1, edges))
+
+    def test_a_ring_costs_one_split_and_no_search(self, monkeypatch):
+        from monograph import homology
+
+        calls = {"split": 0, "search": 0}
+        split, search = homology._split_components, homology._circuits_through
+
+        def counted_split(*args):
+            calls["split"] += 1
+            return split(*args)
+
+        def counted_search(*args):
+            calls["search"] += 1
+            return search(*args)
+
+        monkeypatch.setattr(homology, "_split_components", counted_split)
+        monkeypatch.setattr(homology, "_circuits_through", counted_search)
+        n = 1500
+        g = mg.graph([f"v{i}" for i in range(n)], _cycle(list(range(n))))
+        assert mg.simple_loops(g) == ([mg.SimpleLoop(tuple(range(n)))], False)
+        assert calls == {"split": 1, "search": 0}
+        # a chord makes the block two circuits, found by the search
+        g = mg.graph([f"v{i}" for i in range(n)], _cycle(list(range(n))) + [(0, n // 2)])
+        assert len(mg.simple_loops(g)[0]) == 2 and calls["search"] == 1
+
+
 class TestDecompose:
     def test_zero_chain_decomposes_to_nothing(self):
         assert mg.decompose_cycle(mg.nat_chain({}), g2()) == []
@@ -462,6 +541,22 @@ class TestEdgeIdsOutsideTheGraph:
             mg.is_cycle(mg.nat_chain({-1: 1}), g2())
         with pytest.raises(ValueError, match="path edge 5 does not exist"):
             mg.loop_polarity(mg.SimpleLoop((0, 5)), labeled)
+
+    def test_loop_methods_name_the_missing_edge_they_read(self):
+        labeled = mg.LabeledGraph(g2(), SIGN, (0, 1))
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge 5$"):
+            mg.loop_polarity(mg.SimpleLoop((5,)), labeled)
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge -1$"):
+            mg.SimpleLoop((-1, 0)).as_path(g2())
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge 5$"):
+            mg.SimpleLoop((5,)).vertices(g2())
+        # a negative id would index from the end
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge -1$"):
+            mg.SimpleLoop((-1,)).vertices(g2())
+        # the first in sequence order
+        with pytest.raises(ValueError, match=r"^loop mentions missing edge 9$"):
+            mg.SimpleLoop((0, 9, -3)).vertices(g2())
+        assert mg.SimpleLoop((0, 1)).vertices(g2()) == (0, 1)
 
 
 def _random_rig(rnd) -> mg.TableAlgebra:

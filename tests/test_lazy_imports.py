@@ -36,7 +36,7 @@ EXPORTS = {
         "KleisliMorphism", "Path", "compose_kleisli", "compose_paths", "grade",
         "is_kleisli_morphism", "kleisli_identity", "kleisli_respects_hom", "path_end",
     ),
-    "motifs": ("MOTIF_NAMES", "builtin_motif", "find_motifs", "paths_between"),
+    "motifs": ("MOTIF_NAMES", "builtin_motif", "find_motif_groups", "find_motifs", "paths_between"),
     "open_graphs": (
         "OpenGraph", "OpenGraphMap", "check_2morphism", "compose", "compose_2morphisms",
         "empty_open", "grothendieck_morphism_check", "identity_open", "iso_check", "tensor",
@@ -123,7 +123,7 @@ def test_every_public_name_is_the_object_its_submodule_defines():
 
 
 def test_all_and_dir_list_the_public_names():
-    assert len(PUBLIC) == 99
+    assert len(PUBLIC) == 100
     assert sorted(monograph.__all__) == sorted(name for _, name in PUBLIC)
     assert set(monograph.__all__) <= set(dir(monograph))
     namespace = {}

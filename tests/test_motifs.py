@@ -1,7 +1,12 @@
 """Motif catalog and occurrence search against the exhaustive oracle."""
 
+import contextlib
 import dataclasses
+import io
+import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 
 import monograph as mg
 from monograph import cli, motifs
+from monograph.model_io import _canonical_json
 
 from helpers import (
     FIXTURES,
@@ -29,6 +35,15 @@ from helpers import (
 
 def keys(matches):
     return [(k.vertex_map, tuple(p.edges for p in k.edge_map)) for k in matches]
+
+
+def expand(groups):
+    """`keys` of the matches that `find_motif_groups`' groups stand for."""
+    return [
+        (vertex_map, combo)
+        for vertex_map, walks, count in groups
+        for combo in itertools.islice(itertools.product(*walks), count)
+    ]
 
 
 class TestCatalog:
@@ -182,6 +197,9 @@ class TestAgainstTheUnprunedSearch:
             capped, capped_truncated = mg.find_motifs(motif, h, max_len, cap)
             assert keys(capped) == keys(expected)[:cap]
             assert capped_truncated == (len(expected) > cap or expected_truncated)
+            groups, groups_truncated = mg.find_motif_groups(motif, h, max_len, cap)
+            assert (expand(groups), groups_truncated) == (keys(expected)[:cap], capped_truncated)
+            assert sum(count for _, _, count in groups) == len(capped)
 
     def test_empty_motif_has_exactly_one_empty_match(self):
         empty = mg.labeled_graph([], [], SIGN, [])
@@ -301,11 +319,15 @@ class TestWalkGuard:
         with pytest.raises(ValueError, match=r"^motif walks 1000001 from host vertex 0 > guard 10\^6$"):
             mg.find_motifs(mg.builtin_motif("positive-autoregulation"), h, 10)
 
-    def test_paths_between_is_not_guarded(self, monkeypatch):
+    def test_paths_between_reads_the_same_guarded_table(self, monkeypatch):
         h = host()
+        per_vertex = _walks_from_each_vertex(h.graph, 3)
         expected = mg.paths_between(h, 0, 1, 3)
-        monkeypatch.setattr(motifs, "_WALK_GUARD", 0)
+        monkeypatch.setattr(motifs, "_WALK_GUARD", per_vertex[0])
         assert mg.paths_between(h, 0, 1, 3) == expected
+        monkeypatch.setattr(motifs, "_WALK_GUARD", per_vertex[0] - 1)
+        with pytest.raises(ValueError, match=rf"^motif walks {per_vertex[0]} from host vertex 0 > guard "):
+            mg.paths_between(h, 0, 1, 3)
 
     def test_cli_ends_in_an_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(motifs, "_WALK_GUARD", 5)
@@ -395,3 +417,118 @@ class TestGateGrowth:
         # at most two candidates for w and two for u per v, two checks each;
         # trying every w for every v would take about 2n^2
         assert _CountingDict.lookups <= 8 * n
+
+
+# element names that json escapes, that `%` formatting would read, or that
+# are not ASCII
+_AWKWARD = ("%", "%s", "%(x)s", "100%%", '"', "\\", '\\"%', "\x00", "\x1f\n", "\u00e9", "\u2603%", "\U0001d11e", "{0}")
+
+
+def _motif_search(rnd):
+    """(motif, host, max_path_len): a SIGN host or one over a finite table
+    with awkward element names, and a motif of 0-3 vertices and 0-4 edges,
+    parallel edges and self-loops included."""
+    if rnd.random() < 0.4:
+        algebra = SIGN
+    else:
+        n = rnd.randint(2, 3)
+        # element 0 is the unit; the other products are drawn
+        table = [b if a == 0 else a if b == 0 else rnd.randrange(n) for a in range(n) for b in range(n)]
+        algebra = mg.TableAlgebra(tuple(rnd.sample(_AWKWARD, n)), tuple(table), 0)
+    motif = rand_graph(rnd, 3, 4) if rnd.random() < 0.9 else mg.graph([], [])
+    return (
+        rand_labels(rnd, motif, algebra),
+        rand_labels(rnd, rand_graph(rnd, 4, 8), algebra),
+        rnd.randint(1, 4),
+    )
+
+
+def _text_lines(motif, h, matches, truncated, edge_ids):
+    """The text output, written match by match from `find_motifs`' matches."""
+    lines = [f"{len(matches)} match(es)" + (" (truncated)" if truncated else "")]
+    for i, k in enumerate(matches):
+        vertices = ", ".join(f"{motif.graph.vertex_names[v]} -> {h.graph.vertex_names[w]}" for v, w in enumerate(k.vertex_map))
+        paths = ", ".join("[" + ", ".join(edge_ids[e] for e in p.edges) + "]" for p in k.edge_map)
+        lines.append(f"  match {i}: {vertices}; paths {paths}")
+    return "\n".join(lines) + "\n"
+
+
+class TestProductForm:
+    """`find_motif_groups` keeps each vertex assignment's matches as the
+    product of its walk lists, and `motif` writes its output from them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rnd=st.randoms(use_true_random=False), cap_kind=st.sampled_from(["zero", "one", "cut", "above"]))
+    def test_stdout_is_the_canonical_json_of_the_matches(self, rnd, cap_kind):
+        motif, h, max_len = _motif_search(rnd)
+        counts = [count for _, _, count in mg.find_motif_groups(motif, h, max_len)[0]]
+        cuttable = [i for i, count in enumerate(counts) if count > 1]
+        if cap_kind == "cut" and cuttable:
+            # inside one assignment's product: after its first match, before its last
+            i = rnd.choice(cuttable)
+            cap = sum(counts[:i]) + rnd.randint(1, counts[i] - 1)
+        else:
+            cap = {"zero": 0, "one": 1, "cut": max(sum(counts) - 1, 0), "above": sum(counts) + 1}[cap_kind]
+        matches, truncated = mg.find_motifs(motif, h, max_len, cap)
+        payload = {
+            "matches": [
+                {"vertex_map": k.vertex_map, "edge_paths": [p.edges for p in k.edge_map], "grades": [h.algebra.label_text(x) for x in motif.labels]}
+                for k in matches
+            ],
+            "truncated": truncated,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            host_path, motif_path = Path(tmp) / "host.json", Path(tmp) / "motif.json"
+            mg.save_model(mg.ModelFile(graph=h), host_path)
+            mg.save_model(mg.ModelFile(graph=motif), motif_path)
+            argv = ["motif", "--motif", str(motif_path), "--host", str(host_path), "--max-path-len", str(max_len), "--max-results", str(cap)]
+            outputs = []
+            for extra in (["--json"], []):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert cli.main(argv + extra) == 0
+                outputs.append(out.getvalue())
+        edge_ids = tuple(f"e{i}" for i in range(h.graph.n_edges))
+        assert outputs == [_canonical_json(payload) + "\n", _text_lines(motif, h, matches, truncated, edge_ids)]
+
+    def test_the_cli_builds_no_match_and_no_path(self, monkeypatch, capsys):
+        built = {"KleisliMorphism": 0, "Path": 0}
+        for name in built:
+            cls = getattr(mg, name)
+
+            def counted(self, *args, _init=cls.__init__, _name=name, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        base = ["motif", "--motif", "coherent-feedforward", "--host", str(FIXTURES / "host.json"), "--max-path-len", "3"]
+        for argv in (base + ["--json"], base):
+            assert cli.main(argv) == 0
+        assert capsys.readouterr().out.count("match") > 20
+        assert built == {"KleisliMorphism": 0, "Path": 0}
+        # the library's expanded form still builds both
+        matches, _ = mg.find_motifs(mg.builtin_motif("coherent-feedforward"), host(), 3)
+        assert built["KleisliMorphism"] == len(matches) > 0 and built["Path"] > 0
+
+    def test_groups_share_their_walk_lists(self):
+        # both edges of the coherent feedforward take the same (end, grade)
+        # walks, and the group from B to D is their 2 x 2 product
+        groups, truncated = mg.find_motif_groups(mg.builtin_motif("coherent-feedforward"), host(), 2, 6)
+        assert truncated and [count for _, _, count in groups] == [1, 1, 1, 1, 2]
+        vertex_map, walks, count = groups[-1]
+        assert vertex_map == (1, 3) and walks[0] is walks[1] and walks[0] == [(1, 8), (2,)]
+        matches, _ = mg.find_motifs(mg.builtin_motif("coherent-feedforward"), host(), 2, 6)
+        assert keys(matches) == expand(groups)
+        assert matches[-1].edge_map[0] is matches[-2].edge_map[0] is matches[-2].edge_map[1]
+
+    def test_same_errors_as_find_motifs(self):
+        motif = mg.builtin_motif("positive-stimulation")
+        nat = mg.labeled_graph(["a"], [], mg.named_algebra("NatAdd"), [])
+        for args, message in (
+            ((motif, nat), "share one label algebra"),
+            ((motif, host(), 0), "max_path_len"),
+            ((motif, host(), 2, -1), "max_results"),
+        ):
+            for search in (mg.find_motif_groups, mg.find_motifs):
+                with pytest.raises(ValueError, match=message):
+                    search(*args)
