@@ -269,7 +269,7 @@ def cmd_emergence(args) -> int:
 
 
 def _resolve_hom(args, g):
-    from .algebra import MonoidHom, collapse_hom, sign_hom, sign_section
+    from .algebra import MonoidHom, collapse_hom, sign_hom, sign_section, validate_hom
     from .model_io import parse_algebra
 
     if args.hom:
@@ -282,12 +282,28 @@ def _resolve_hom(args, g):
     try:
         with open(args.hom_file, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
+        if not isinstance(obj, dict):
+            raise ValueError("expected a JSON object with keys source, target and map")
+        keys = ("source", "target", "map")
+        missing = [key for key in keys if key not in obj]
+        if missing:
+            raise ValueError(f"missing keys {missing}")
+        unknown = sorted(obj.keys() - set(keys))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        if not isinstance(obj["map"], list):
+            raise ValueError("map must be a JSON list of target elements")
         source = parse_algebra(obj["source"])
         target = parse_algebra(obj["target"])
         mapping = tuple(target.parse_label(v) for v in obj["map"])
-        return MonoidHom(source, target, mapping=mapping, name="from-file")
+        hom = MonoidHom(source, target, mapping=mapping, name="from-file")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad hom file: {exc}") from None
+    report = validate_hom(hom)  # exhaustive over the finite source
+    if not report.ok:
+        first = report.violations[0]
+        raise CliError(f"bad hom file: [{first.kind}/{first.code}] {first.message}")
+    return hom
 
 
 def cmd_change_labels(args) -> int:

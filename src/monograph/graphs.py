@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, _tabulate, apply_hom
-from .validation import AXIOM, STRUCTURE, ValidationReport
+from .validation import AXIOM, STRUCTURE, ValidationReport, _over_guard
 
 
 @dataclass(frozen=True)
@@ -32,12 +32,16 @@ class Graph:
             for v in itertools.chain(*ends):
                 if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
                     raise ValueError(f"edge endpoint {v!r} is not a vertex id")
-        # Per vertex, the ids of the edges leaving (entering) it, ascending.
-        # Not fields, so equality and hashing still see only the fields; set
-        # here rather than cached through `__dict__`, which would move every
-        # later attribute load on the graph off the interpreter's fast path.
+        # Per vertex, the ids of the edges leaving it, ascending.  Not a
+        # field, so equality and hashing still see only the fields; set here
+        # rather than cached through `__dict__`, which would move every later
+        # attribute load on the graph off the interpreter's fast path.
         object.__setattr__(self, "out_adjacency", _incidence(n, self.edge_src))
-        object.__setattr__(self, "in_adjacency", _incidence(n, self.edge_tgt))
+
+    @property
+    def in_adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, the ids of the edges entering it, ascending; built on each read."""
+        return _incidence(len(self.vertex_names), self.edge_tgt)
 
     @property
     def n_vertices(self) -> int:
@@ -206,17 +210,17 @@ class Semiautomaton:
                 raise ValueError("action is not total on states")
 
 
-TRANSFORMATION_MONOID_LIMIT = 5000
+_MONOID_GUARD = 5000
 
 
-def from_semiautomaton(sa: Semiautomaton, limit: int = TRANSFORMATION_MONOID_LIMIT) -> LabeledGraph:
+def from_semiautomaton(sa: Semiautomaton) -> LabeledGraph:
     """The state graph of a semiautomaton, labeled in its transformation monoid.
 
     Vertices are states; each (input, state) pair contributes one edge from
     the state to its successor, labeled by the input's transformation.  The
     label algebra is the monoid generated by the inputs under composition
     (x * y applies y first), materialized as a finite table by closure
-    enumeration.
+    enumeration, of at most `_MONOID_GUARD` elements.
     """
     n = len(sa.state_names)
     identity = tuple(range(n))
@@ -231,8 +235,9 @@ def from_semiautomaton(sa: Semiautomaton, limit: int = TRANSFORMATION_MONOID_LIM
             for g in generators:
                 composed = tuple(t[g[v]] for v in range(n))  # t after g
                 if composed not in index:
-                    if len(elements) >= limit:
-                        raise ValueError(f"transformation monoid exceeds {limit} elements")
+                    if len(elements) >= _MONOID_GUARD:
+                        space = f"transformation monoid of {len(elements) + 1} elements"
+                        raise ValueError(_over_guard(space, _MONOID_GUARD))
                     index[composed] = len(elements)
                     elements.append(composed)
                     new_frontier.append(composed)

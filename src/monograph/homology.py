@@ -184,6 +184,10 @@ def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
 LOOP_CAP = 10000
 # the most loops, counted with multiplicity, that `decompose_cycle` returns
 _PARTS_GUARD = 10**6
+# the most free-coordinate values `find_relations` tries
+_RELATION_GUARD = 10**6
+# the most values `cycles` tries: a tree of 10^6 leaves has fewer than twice as many nodes
+_CYCLE_GUARD = 2 * 10**6
 
 
 def _split_components(vertices: list[int], comp: list[int], members: list[list[int]], g: Graph) -> None:
@@ -471,23 +475,26 @@ class Relation:
     rhs: tuple[int, ...]
 
 
-def _combine(p: int, row: dict[int, int], a: int, other: dict[int, int]) -> dict[int, int]:
-    """p * row - a * other, divided by the gcd of its entries; sparse rows
-    omit zero entries.  Unit pivots are the rule on 0/1 incidence rows."""
-    out = dict(row) if p == 1 else {col: p * x for col, x in row.items()}
+def _combine(p: int, row: dict[int, int], a: int, other: dict[int, int]) -> None:
+    """Make `row` p * row - a * other, divided by the gcd of its entries;
+    sparse rows omit zero entries.  Unit pivots are the rule on 0/1
+    incidence rows."""
+    if p != 1:
+        for col in row:
+            row[col] *= p
     for col, y in other.items():
-        x = out.get(col, 0) - a * y
+        x = row.get(col, 0) - a * y
         if x:
-            out[col] = x
+            row[col] = x
         else:
-            del out[col]
-    g = math.gcd(*out.values())
-    return out if g < 2 else {col: x // g for col, x in out.items()}
+            del row[col]
+    g = math.gcd(*row.values())
+    if g > 1:
+        for col in row:
+            row[col] //= g
 
 
-def find_relations(
-    loops: Sequence[SimpleLoop], bound: int = 1, guard: int = 10**6
-) -> list[Relation]:
+def find_relations(loops: Sequence[SimpleLoop], bound: int = 1) -> list[Relation]:
     """All bound-limited relations among loop indicator chains.
 
     Pairs that merely add a common part to both sides of a smaller relation
@@ -500,8 +507,8 @@ def find_relations(
     integers (cross-multiplying, then dividing each row by its gcd) leaves
     d = k - rank free coordinates; all (2*bound + 1)^d values of them are
     tried, keeping those whose pivot coordinates come out integral and
-    within the bound.  Raises ValueError when that count exceeds `guard`,
-    or when `bound` is negative.
+    within the bound.  Raises ValueError when that count exceeds
+    `_RELATION_GUARD`, or when `bound` is negative.
     """
     if bound < 0:
         raise ValueError(f"coefficient bound must be at least 0, got {bound}")
@@ -514,18 +521,22 @@ def find_relations(
             by_edge.setdefault(e, []).append(i)
     rows = set(map(tuple, by_edge.values()))
     least_free = max(k - len(rows), 0)
-    if base ** least_free > guard:
-        raise ValueError(_over_guard(f"relation search space at least {base}^{least_free}", guard))
+    if base ** least_free > _RELATION_GUARD:
+        raise ValueError(_over_guard(f"relation search space at least {base}^{least_free}", _RELATION_GUARD))
     # each pivot row is primitive, has a positive entry in its pivot column
-    # and 0 in every other pivot column
+    # and 0 in every other pivot column; holders[c] lists, with repeats, the
+    # pivot columns of rows that have held an entry in column c
     pivots: dict[int, dict[int, int]] = {}
+    holders: dict[int, list[int]] = {}
     for through in rows:
         row: dict[int, int] = {}
         for i in through:
             row[i] = row.get(i, 0) + 1
-        for col, pivot_row in pivots.items():
-            if col in row:
-                row = _combine(pivot_row[col], row, row[col], pivot_row)
+        # pivot rows are 0 in each other's pivot columns, so each combination
+        # clears one pivot column of `row` and leaves the rest nonzero
+        for col in [c for c in row if c in pivots]:
+            pivot_row = pivots[col]
+            _combine(pivot_row[col], row, row[col], pivot_row)
         if not row:
             continue
         col = min(row)
@@ -534,13 +545,19 @@ def find_relations(
             g = -g
         if g != 1:
             row = {c: x // g for c, x in row.items()}
-        for other, pivot_row in pivots.items():
+        # a cleared row gains entries only in the columns of `row`
+        touched = [col]
+        for other in holders.pop(col, ()):
+            pivot_row = pivots[other]
             if col in pivot_row:
-                pivots[other] = _combine(row[col], pivot_row, pivot_row[col], row)
+                _combine(row[col], pivot_row, pivot_row[col], row)
+                touched.append(other)
         pivots[col] = row
+        for c in row:
+            holders.setdefault(c, []).extend(touched)
     free = [col for col in range(k) if col not in pivots]
-    if base ** len(free) > guard:
-        raise ValueError(_over_guard(f"relation search space {base}^{len(free)}", guard))
+    if base ** len(free) > _RELATION_GUARD:
+        raise ValueError(_over_guard(f"relation search space {base}^{len(free)}", _RELATION_GUARD))
     # den * z[p] + sum(row[f] * z[f]) = 0 over free f, so z[p] = -num / den;
     # the row is primitive, so den and the terms share no factor.  A pivot
     # without free terms is 0 in every kernel vector, so it needs no check.
@@ -569,14 +586,14 @@ def find_relations(
     return sorted(relations, key=lambda r: (r.lhs, r.rhs))
 
 
-def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None, guard: int = 2 * 10**6) -> list[Chain]:
+def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None) -> list[Chain]:
     """Every cycle with coefficients among the elements of a table algebra,
     or in 0..`bound` over NatAdd, sorted by coefficient tuple.
 
     Vertices are placed in ascending id, each edge is assigned once its
     later endpoint is placed, and a vertex whose last edge gets a value must
     balance (forward checking; the coefficient view is commutative, so the
-    order of summing is immaterial).  Raises ValueError past `guard` values tried.
+    order of summing is immaterial).  Raises ValueError past `_CYCLE_GUARD` tries.
     """
     if isinstance(algebra, TableAlgebra):
         values = range(algebra.size)
@@ -606,9 +623,9 @@ def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None, guard: int
         untried, out_before, in_before, code_before = frames[-1]
         for x in untried:
             nodes += 1
-            if nodes > guard:
+            if nodes > _CYCLE_GUARD:
                 space = f"cycle search space {len(values)}^{len(order)} expanded {nodes} nodes"
-                raise ValueError(_over_guard(space, guard))
+                raise ValueError(_over_guard(space, _CYCLE_GUARD))
             out_sum[src[e]], in_sum[tgt[e]] = add(out_before, x), add(in_before, x)
             if all(out_sum[v] == in_sum[v] for v in closing[i]):
                 code = code_before + x * weight[e]

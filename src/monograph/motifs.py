@@ -53,11 +53,10 @@ class _PathTable:
     def __init__(self, host: LabeledGraph, start: int, max_len: int):
         out_adjacency, edge_tgt = host.graph.out_adjacency, host.graph.edge_tgt
         mul, labels, one = host.algebra.mul, host.labels, host.algebra.one
-        guard = _WALK_GUARD
         by_end_grade: dict[tuple, list[tuple[int, ...]]] = {(start, one): [()]}
         walks = 1
         stack = [(e, (), one) for e in reversed(out_adjacency[start])] if max_len > 0 else []
-        while stack and walks <= guard:
+        while stack and walks <= _WALK_GUARD:
             e, prefix, value = stack.pop()
             walks += 1
             walk = prefix + (e,)
@@ -70,8 +69,8 @@ class _PathTable:
                 filed.append(walk)
             if len(walk) < max_len:
                 stack.extend([(f, walk, value) for f in reversed(out_adjacency[at])])
-        if walks > guard:
-            raise ValueError(_over_guard(f"motif walks {walks} from host vertex {start}", guard))
+        if walks > _WALK_GUARD:
+            raise ValueError(_over_guard(f"motif walks {walks} from host vertex {start}", _WALK_GUARD))
         self.by_end_grade = by_end_grade
         self._ends: dict = {}
 

@@ -280,8 +280,8 @@ def _iso_tables(g: Graph, labels, algebra):
     pair (a, b), the edges a -> b sorted by (label text, id), and their texts."""
     keys = [""] * g.n_edges if labels is None else [algebra.label_text(x) for x in labels]
     signatures = [
-        (sorted(keys[e] for e in g.out_adjacency[v]), sorted(keys[e] for e in g.in_adjacency[v]))
-        for v in range(g.n_vertices)
+        (sorted(keys[e] for e in out_edges), sorted(keys[e] for e in in_edges))
+        for out_edges, in_edges in zip(g.out_adjacency, g.in_adjacency)
     ]
     pairs: dict[tuple[int, int], list[int]] = {}
     for e in sorted(range(g.n_edges), key=lambda e: (keys[e], e)):

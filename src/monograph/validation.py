@@ -39,9 +39,9 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _over_guard(space: str, guard: int) -> str:
-    """`space` against `guard`, writing 1000000 as 10^6 and 2000000 as 2*10^6."""
-    digits, head = str(guard), str(guard).rstrip("0")
+def _over_guard(space: str, allowed: int) -> str:
+    """`space` against the guard `allowed`, writing 1000000 as 10^6 and 2000000 as 2*10^6."""
+    digits, head = str(allowed), str(allowed).rstrip("0")
     if len(head) == 1 and head != digits:
         digits = ("" if head == "1" else head + "*") + f"10^{len(digits) - 1}"
     return f"{space} > guard {digits}"

@@ -356,6 +356,31 @@ class TestChangeLabels:
         assert code == 1 and not out and not out_path.exists()
         assert err == f"error: bad hom file: mapping lists {len(images)} image(s) for 2 source element(s)\n"
 
+    @pytest.mark.parametrize(
+        "hom, message",
+        [
+            # (-)*(-) = + goes to 0, but 1 + 1 = 2
+            ({"source": "SIGN", "target": "NatAdd", "map": [0, 1]},
+             "[axiom/multiplicativity] image of -*- is not the product of images"),
+            ({"source": "SIGN", "target": "SIGN0", "map": "+-"}, "map must be a JSON list of target elements"),
+            ({"source": "SIGN", "map": ["+", "-"]}, "missing keys ['target']"),
+            ({"source": "SIGN", "target": "SIGN0", "map": ["+", "-"], "name": "flip", "kind": "x"},
+             "unknown keys ['kind', 'name']"),
+            (["SIGN", "SIGN0", ["+", "-"]], "expected a JSON object with keys source, target and map"),
+        ],
+        ids=["not-a-hom", "map-string", "missing-key", "unknown-keys", "top-level-list"],
+    )
+    def test_a_hom_file_is_checked_before_anything_is_written(self, capsys, tmp_path, hom, message):
+        hom_path = tmp_path / "hom.json"
+        hom_path.write_text(json.dumps(hom))
+        out_path = tmp_path / "relabeled.json"
+        code, out, err = run(
+            capsys, "change-labels", FIXTURES / "homework.json", "--hom-file", hom_path,
+            "--out", out_path,
+        )
+        assert (code, out, err) == (1, "", f"error: bad hom file: {message}\n")
+        assert not out_path.exists()
+
 
 class TestSignSection:
     def test_rational_labels_have_feedback(self, capsys, tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import monograph as mg
+from monograph import graphs
 
 from helpers import SIGN, SIGN0, bfs_components, homework, rand_graph, rand_labels
 
@@ -107,6 +108,14 @@ class TestAdjacency:
         b = mg.graph(["u", "v"], [(0, 1), (1, 0)])
         assert a.out_adjacency == ((0,), (1,))
         assert a == b and hash(a) == hash(b)
+
+    def test_a_graph_builds_one_index(self, monkeypatch):
+        calls = []
+        incidence = graphs._incidence
+        monkeypatch.setattr(graphs, "_incidence", lambda *args: calls.append(args) or incidence(*args))
+        g = mg.graph(["u", "v"], [(0, 1), (1, 1)])
+        assert len(calls) == 1 and "in_adjacency" not in vars(g)
+        assert g.in_adjacency == ((), (0, 1))
 
 
 class TestLabelPreservation:
@@ -325,10 +334,19 @@ class TestSemiautomaton:
             image = int(name.strip("[]").split(",")[at]) if n_states else at
             assert image == applied
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
         sa = mg.Semiautomaton(("0", "1", "2", "3"), ("a", "b"), ((1, 2, 3, 0), (1, 0, 2, 3)))
+        monkeypatch.setattr(graphs, "_MONOID_GUARD", 3)
         with pytest.raises(ValueError):
-            mg.from_semiautomaton(sa, limit=3)
+            mg.from_semiautomaton(sa)
+
+    def test_the_default_guard_names_the_element_that_passes_it(self):
+        # a cycle, a transposition and a merge generate all 6^6 maps of six states
+        sa = mg.Semiautomaton(
+            tuple("012345"), ("cycle", "swap", "merge"), ((1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5), (0, 0, 2, 3, 4, 5))
+        )
+        with pytest.raises(ValueError, match=r"^transformation monoid of 5001 elements > guard 5\*10\^3$"):
+            mg.from_semiautomaton(sa)
 
 
 class TestComponents:

@@ -1,6 +1,5 @@
 """Chains, cycles, simple loops, decomposition, relations, and the oracles."""
 
-import inspect
 import random
 import re
 
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
+from monograph import homology
 from monograph.algebra import _coefficient_view
 from monograph.homology import LOOP_CAP, NAT, _over_guard, canonical_rotation
 
@@ -442,14 +442,15 @@ class TestBruteForce:
         dag = mg.graph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
         assert mg.cycles(dag, NAT, 3) == brute_force_circulations(dag, 3) == [mg.nat_chain({})]
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
         # every assignment of 21 self-loops is a cycle; the default guard
-        # would stop only after a million of them, so a smaller one is given
+        # would stop only after a million of them, so a smaller one is set
         big = mg.graph(["u"], [(0, 0)] * 21)
+        monkeypatch.setattr(homology, "_CYCLE_GUARD", 10**4)
         with pytest.raises(ValueError, match=r"^cycle search space 2\^21 expanded 10001 nodes > guard 10\^4$"):
-            mg.cycles(big, NAT, 1, guard=10**4)
+            mg.cycles(big, NAT, 1)
         with pytest.raises(ValueError, match=r"^cycle search space 2\^21 expanded 10001 nodes > guard 10\^4$"):
-            mg.cycles(big, BOOL, guard=10**4)
+            mg.cycles(big, BOOL)
         with pytest.raises(ValueError, match="enumeration space exceeds the guard"):
             brute_force_circulations(big, 1)
         with pytest.raises(ValueError, match="enumeration space exceeds the guard"):
@@ -457,18 +458,20 @@ class TestBruteForce:
 
 
 class TestCycles:
-    def test_tiny_guard_names_the_numbers(self):
+    def test_tiny_guard_names_the_numbers(self, monkeypatch):
+        monkeypatch.setattr(homology, "_CYCLE_GUARD", 3)
         with pytest.raises(ValueError, match=r"^cycle search space 3\^4 expanded 4 nodes > guard 3$"):
-            mg.cycles(q4(), NAT, 2, guard=3)
+            mg.cycles(q4(), NAT, 2)
 
-    def test_guard_admits_every_unpruned_tree_under_half_of_it(self):
+    def test_guard_admits_every_unpruned_tree_under_half_of_it(self, monkeypatch):
         # a tree of size^E leaves has fewer than 2 * size^E nodes, so the
         # default guard runs every input with size^E <= 10^6
-        assert inspect.signature(mg.cycles).parameters["guard"].default == 2 * 10**6
+        assert homology._CYCLE_GUARD == 2 * 10**6
         for algebra, bound, size in ((BOOL, None, 2), (NAT, 2, 3), (truncated_add(3), None, 4)):
             for n_edges in range(1, 6):
                 loops = mg.graph(["u"], [(0, 0)] * n_edges)
-                assert len(mg.cycles(loops, algebra, bound, guard=2 * size**n_edges)) == size**n_edges
+                monkeypatch.setattr(homology, "_CYCLE_GUARD", 2 * size**n_edges)
+                assert len(mg.cycles(loops, algebra, bound)) == size**n_edges
 
     def test_guard_text_writes_powers_of_ten(self):
         texts = [_over_guard("space", n) for n in (0, 3, 10, 12000, 10**6, 2 * 10**6)]
@@ -633,9 +636,9 @@ def _bundle(m: int, n: int) -> list[mg.SimpleLoop]:
     return loops
 
 
-def _outcome(search, loops, bound, guard):
+def _outcome(search, *args):
     try:
-        return search(loops, bound, guard)
+        return search(*args)
     except ValueError as exc:
         return str(exc)
 
@@ -659,7 +662,9 @@ class TestRelationsAgainstFractions:
         for bound in (0, 1, 2, 3):
             guard = rnd.choice((1, 10, 100, 1000, 5000))
             expected = _outcome(oracle_relations_by_fractions, loops, bound, guard)
-            assert _outcome(mg.find_relations, loops, bound, guard) == expected
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(homology, "_RELATION_GUARD", guard)
+                assert _outcome(mg.find_relations, loops, bound) == expected
 
     def test_bundle_relation_counts(self):
         assert _bundle(2, 3) == mg.simple_loops(r5())[0]
