@@ -11,6 +11,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 
 # every subcommand loads a model; each handler imports the rest of what it
@@ -443,9 +444,17 @@ def main(argv=None) -> int:
     # the one place where a failure becomes an `error:` line: ValueError
     # covers the library's input checks, ModelFormatError and JSONDecodeError
     try:
-        return _handler(args.command)(args)
+        status = _handler(args.command)(args)
+        # a reader that left shows here, inside the try, not at exit
+        sys.stdout.flush()
+        return status
     except (CliError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so the flush at exit
+        # does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -90,9 +90,8 @@ def boundary_pair(c: Chain, g: Graph) -> tuple[Chain, Chain]:
     algebra = c.algebra
     at_src: dict[int, Element] = {}
     at_tgt: dict[int, Element] = {}
+    _check_edges(c.support, g, "chain")
     for e, v in c.items:
-        if not (0 <= e < g.n_edges):
-            raise ValueError(f"chain mentions missing edge {e}")
         s, t = g.edge_src[e], g.edge_tgt[e]
         at_src[s] = algebra.add(at_src[s], v) if s in at_src else v
         at_tgt[t] = algebra.add(at_tgt[t], v) if t in at_tgt else v
@@ -137,7 +136,7 @@ class SimpleLoop:
             raise ValueError("a loop has at least one edge")
 
     def vertices(self, g: Graph) -> tuple[int, ...]:
-        _check_loop_edges(self.edges, g)
+        _check_edges(self.edges, g, "loop")
         return tuple(g.edge_src[e] for e in self.edges)
 
     def indicator(self) -> Chain:
@@ -146,7 +145,7 @@ class SimpleLoop:
     def as_path(self, g: Graph) -> Path:
         """The loop as a path from its first edge's source; `check_path`
         names a later edge that is missing."""
-        _check_loop_edges(self.edges[:1], g)
+        _check_edges(self.edges[:1], g, "loop")
         return Path(g.edge_src[self.edges[0]], self.edges)
 
 
@@ -161,17 +160,18 @@ def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
-def _check_loop_edges(edges: Sequence[int], g: Graph) -> None:
-    """Raise for the first of `edges`, in sequence order, that is not an edge of `g`."""
+def _check_edges(edges: Sequence[int], g: Graph, noun: str) -> None:
+    """Raise for the first of `edges`, in sequence order, that is not an
+    edge of `g`, naming the `noun` (loop or chain) that mentions it."""
     if edges and (min(edges) < 0 or max(edges) >= g.n_edges):
         missing = next(e for e in edges if not 0 <= e < g.n_edges)
-        raise ValueError(f"loop mentions missing edge {missing}")
+        raise ValueError(f"{noun} mentions missing edge {missing}")
 
 
 def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
     """Validate an edge sequence as a simple loop and canonicalize it."""
     edges = tuple(edges)
-    _check_loop_edges(edges, g)
+    _check_edges(edges, g, "loop")
     for e, e_next in zip(edges, edges[1:] + edges[:1]):
         if g.edge_tgt[e] != g.edge_src[e_next]:
             raise ValueError("edge sequence does not close up into a loop")
@@ -368,10 +368,8 @@ def decompose_cycle(c: Chain, g: Graph) -> list[SimpleLoop]:
     src, tgt, out_adjacency = g.edge_src, g.edge_tgt, g.out_adjacency
     # out-flow minus in-flow at each vertex; a cycle balances everywhere
     balance = [0] * g.n_vertices
-    n_edges = g.n_edges
+    _check_edges(c.support, g, "chain")
     for e, x in c.items:
-        if not 0 <= e < n_edges:
-            raise ValueError(f"chain mentions missing edge {e}")
         balance[src[e]] += x
         balance[tgt[e]] -= x
     if any(balance):
@@ -426,13 +424,6 @@ def scale_nat(algebra: LabelAlgebra, n: int, x: Element) -> Element:
     return total
 
 
-def _check_edge_ids(ids: Sequence[int], g: Graph) -> None:
-    """Raise for the first of the ascending `ids` that is not an edge of `g`."""
-    if ids and (ids[0] < 0 or ids[-1] >= g.n_edges):
-        missing = next(e for e in ids if not 0 <= e < g.n_edges)
-        raise ValueError(f"chain mentions missing edge {missing}")
-
-
 def feedback(c, g: LabeledGraph) -> Element:
     """The labeling homomorphism applied to a cycle: sum of coefficient-many
     copies of each edge label in the (commutative) label algebra.
@@ -445,26 +436,45 @@ def feedback(c, g: LabeledGraph) -> Element:
     if isinstance(c, SimpleLoop):
         edges = sorted(set(c.edges))  # the support of its indicator chain
         zero = total = algebra.zero
-        _check_edge_ids(edges, g.graph)
+        _check_edges(edges, g.graph, "chain")
         for e in edges:
             total = add(total, add(zero, labels[e]))
         return total
     if c.algebra != NAT:
         raise ValueError("feedback needs a natural-number chain")
     total = algebra.zero
-    _check_edge_ids(c.support, g.graph)
+    _check_edges(c.support, g.graph, "chain")
     for e, n in c.items:
         total = add(total, scale_nat(algebra, n, labels[e]))
     return total
 
 
 def loop_polarity(loop: SimpleLoop, g: LabeledGraph) -> Element:
-    """Product of the labels around the loop, from its canonical rotation.
+    """Product of the labels around the loop.
 
-    Rotation-independent over commutative algebras; otherwise the value is
-    reported for the canonical rotation.
+    Every rotation gives the same product over a commutative algebra, so
+    the canonical rotation's is returned.  Over a table algebra not
+    declared commutative, the rotations' products are conjugates that
+    differ, and the least by element index is returned, so the polarity
+    does not depend on which edge has the least id.  Later edges multiply
+    on the left: rotation i grades to grade(e_0..e_i-1) * grade(e_i..e_n-1),
+    so prefix and suffix grades give every rotation in O(n) products.
     """
-    return grade(loop.as_path(g.graph), g)
+    polarity = grade(loop.as_path(g.graph), g)
+    algebra = g.algebra
+    if not isinstance(algebra, TableAlgebra) or algebra.flags.commutative:
+        return polarity
+    mul, labels = algebra.mul, [g.labels[e] for e in loop.edges]
+    # suffixes[i] is grade(e_i..e_n-1); suffixes[0] is `polarity`
+    suffixes = [algebra.one]
+    for label in reversed(labels):
+        suffixes.append(mul(suffixes[-1], label))
+    suffixes.reverse()
+    prefix = algebra.one
+    for i in range(1, len(labels)):
+        prefix = mul(labels[i - 1], prefix)
+        polarity = min(polarity, mul(prefix, suffixes[i]))
+    return polarity
 
 
 @dataclass(frozen=True)
@@ -507,11 +517,14 @@ def find_relations(loops: Sequence[SimpleLoop], bound: int = 1) -> list[Relation
     integers (cross-multiplying, then dividing each row by its gcd) leaves
     d = k - rank free coordinates; all (2*bound + 1)^d values of them are
     tried, keeping those whose pivot coordinates come out integral and
-    within the bound.  Raises ValueError when that count exceeds
+    within the bound.  At bound 0 only z = 0 is in range, so there is no
+    relation and nothing is eliminated.  Raises ValueError when that count exceeds
     `_RELATION_GUARD`, or when `bound` is negative.
     """
     if bound < 0:
         raise ValueError(f"coefficient bound must be at least 0, got {bound}")
+    if bound == 0:
+        return []  # no nonzero vector has every |z_i| <= 0
     k = len(loops)
     base = 2 * bound + 1
     # one row per edge, listing the loops through it; repeated rows add no rank

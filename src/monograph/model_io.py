@@ -9,7 +9,9 @@ sort_keys=True)`` writes (sorted keys, two-space indent, ASCII escapes),
 and a model file ends in a newline, so identical models give
 byte-identical files.  The CLI's `--json` output goes through the same
 emitter, except `motif --json`: `_match_groups_json` writes the same text
-from the search's product form, without a record per match.
+from the search's product form, without a record per match.  Both writers
+lay out every container they write in one join through `_bracketed`, bar
+the containers that `_canonical_json`'s general walk streams item by item.
 """
 
 from __future__ import annotations
@@ -431,7 +433,6 @@ def model_to_json(model: ModelFile) -> dict:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _SCALARS = frozenset({str, int, float, bool, type(None)})
-_LISTS = frozenset({list, tuple})
 
 
 def _scalar_text(value: Any) -> Optional[str]:
@@ -468,60 +469,37 @@ def _encoder(kinds: set):
     return _scalar_text if kinds <= _SCALARS else None
 
 
-def _bracketed(lists: dict, texts, nl: str) -> dict:
-    """id -> text of each list in `lists` (id -> list) written at newline
-    `nl`, given an iterable of its items' texts per list, in order."""
+def _bracketed(texts, nl: str, brackets: str = "[]") -> str:
+    """The item `texts` laid out as json's indent writes a container that
+    closes at newline `nl`: one item per line, two spaces deeper, and bare
+    `brackets` when there are none.  No item text is empty, so a join that
+    comes out empty had no items."""
     inner = nl + "  "
-    written = dict(zip(lists, map(("[" + inner + "%s" + nl + "]").__mod__, map(("," + inner).join, texts))))
-    if not all(lists.values()):
-        written.update(dict.fromkeys([ident for ident, items in lists.items() if not items], "[]"))
-    return written
-
-
-def _list_texts(cells, nl: str) -> Optional[list]:
-    """The text of each list or tuple in `cells`, written at newline `nl`,
-    when all hold only scalars; None otherwise.  Each distinct list (by id)
-    is written once: `cells` holds them all for the call, so no id is
-    reused.  Every step runs in C."""
-    outer = dict(zip(map(id, cells), cells))
-    encode = _encoder(set(map(type, itertools.chain.from_iterable(outer.values()))))
-    if encode is None:
-        return None
-    texts = map(map, itertools.repeat(encode), outer.values())
-    return list(map(_bracketed(outer, texts, nl).__getitem__, map(id, cells)))
+    body = ("," + inner).join(texts)
+    return brackets[0] + inner + body + nl + brackets[1] if body else brackets
 
 
 def _record_list(records: list, nl: str) -> Optional[str]:
-    """A list of dicts that share one key set of strings, written at
-    newline `nl` column by column, or None when a column needs the general
-    walk.  Every column's types are checked before any is written; each
-    row is one `%` of a template that holds the keys."""
+    """A list of dicts that share one key set of strings and hold only
+    scalars, written at newline `nl` column by column, or None when the
+    general walk must write it.  Every column's types are checked before
+    any is written; each row is one `%` of a template that holds the keys."""
     keys = records[0].keys()
     if not keys or set(map(type, records)) != {dict} or set(map(type, keys)) != {str}:
         return None
     if not all(map(keys.__eq__, map(dict.keys, records))):
         return None
     names = sorted(keys)
-    row_nl = nl + "  "
-    cell_nl = row_nl + "  "
     columns: list = []
     for name in names:
         column = list(map(operator.itemgetter(name), records))
-        kinds = set(map(type, column))
-        encode = _encoder(kinds)
-        if encode is None and not kinds <= _LISTS:
+        encode = _encoder(set(map(type, column)))
+        if encode is None:
             return None
-        columns.append(column if encode is None else map(encode, column))
-    # the columns of lists, left as lists above, once every type is known
-    for i, column in enumerate(columns):
-        if type(column) is list and (column := _list_texts(column, cell_nl)) is None:
-            return None
-        columns[i] = column
+        columns.append(map(encode, column))
     # a `%` in a key is doubled, so only the cells fill the template
-    template = "{" + cell_nl + ("," + cell_nl).join(
-        _encode_str(name).replace("%", "%%") + ": %s" for name in names
-    ) + row_nl + "}"
-    return "[" + row_nl + ("," + row_nl).join(map(template.__mod__, zip(*columns))) + nl + "]"
+    template = _bracketed([_encode_str(name).replace("%", "%%") + ": %s" for name in names], nl + "  ", "{}")
+    return _bracketed(map(template.__mod__, zip(*columns)), nl)
 
 
 _END = object()
@@ -534,10 +512,11 @@ def _canonical_json(obj: Any) -> str:
     With an `indent`, json writes through its pure-Python encoder, one
     generator step per scalar.  Here scalars are encoded by json's C
     functions, a list or tuple of scalars is one `join`, and a list of
-    dicts that share one key set is written column by column
-    (`_record_list`).  Everything else, and a record list with a column
-    that `_record_list` cannot write, goes through the general walk, where
-    containers are walked on an explicit stack.  Raises TypeError and
+    dicts of scalars that share one key set is written column by column
+    (`_record_list`).  Both are laid out by `_bracketed`.  Everything else,
+    such as a record list with a list in a column, goes through the
+    general walk, where containers are walked on an explicit stack and
+    their text streams into one list of parts.  Raises TypeError and
     ValueError where json.dumps does, and TypeError for a dict key that is
     not a `str` (json.dumps would write an int, float, bool or None key as
     a string; no model or payload has one).
@@ -584,7 +563,7 @@ def _canonical_json(obj: Any) -> str:
                     # one record gains nothing from columns
                     text = _record_list(value, nl) if len(value) > 1 else None
                 elif (encode := _encoder(set(map(type, value)))) is not None:
-                    text = "[" + nl + "  " + ("," + nl + "  ").join(map(encode, value)) + nl + "]"
+                    text = _bracketed(map(encode, value), nl)
                 if text is not None:
                     emit(text)
                     continue
@@ -612,27 +591,25 @@ def _match_groups_json(groups: list, grades: list[str], truncated: bool) -> str:
     one template over ``itertools.product`` of its group's walk texts and
     vertex map.
     """
-    nl, cell_nl, walk_nl = "\n" + " " * 6, "\n" + " " * 8, "\n" + " " * 10
-
-    def bracketed(items: list, inner: str = cell_nl, close: str = nl) -> str:
-        return "[" + inner + ("," + inner).join(items) + close + "]" if items else "[]"
-
+    record_nl, field_nl, cell_nl = "\n    ", "\n      ", "\n        "
     # id -> each distinct walk list, and then the texts of its walks
     lists = {id(walks): walks for _, group, _ in groups for walks in group}
     longest = max(map(len, itertools.chain.from_iterable(lists.values())), default=0)
-    formats = [bracketed(["%d"] * n, walk_nl, cell_nl) for n in range(longest + 1)]
+    formats = [_bracketed(["%d"] * n, cell_nl) for n in range(longest + 1)]
     walk_texts = {ident: [formats[len(walk)] % walk for walk in walks] for ident, walks in lists.items()}
     # a record's slots: a walk text per motif edge, then a host vertex per
     # motif vertex; a `%` in a grade is doubled, so only they fill it
-    template = "{" + nl + '"edge_paths": ' + bracketed(["%s"] * len(grades)) + "," + nl + '"grades": '
-    template += bracketed(list(map(_encode_str, grades))).replace("%", "%%") + "," + nl + '"vertex_map": '
-    template += bracketed(["%d"] * (len(groups[0][0]) if groups else 0)) + "\n    }"
+    template = _bracketed([
+        '"edge_paths": ' + _bracketed(["%s"] * len(grades), field_nl),
+        '"grades": ' + _bracketed(map(_encode_str, grades), field_nl).replace("%", "%%"),
+        '"vertex_map": ' + _bracketed(["%d"] * (len(groups[0][0]) if groups else 0), field_nl),
+    ], record_nl, "{}")
     records: list[str] = []
     for vertex_map, group, count in groups:
         combos = itertools.product(*[walk_texts[id(walks)] for walks in group], *zip(vertex_map))
         records.extend(map(template.__mod__, itertools.islice(combos, count)))
-    matches = "[\n    " + ",\n    ".join(records) + "\n  ]" if records else "[]"
-    return '{\n  "matches": ' + matches + ',\n  "truncated": ' + ("true" if truncated else "false") + "\n}"
+    truncated_text = "true" if truncated else "false"
+    return _bracketed(['"matches": ' + _bracketed(records, "\n  "), '"truncated": ' + truncated_text], "\n", "{}")
 
 
 def emit_model(model: ModelFile) -> str:

@@ -205,8 +205,9 @@ def oracle_find_motifs(
     max_results: int = 10000,
 ):
     """Unpruned motif search: every vertex assignment in lexicographic order,
-    `paths_between` and a fresh `grade` per motif edge, stopping at
-    `max_results`.  Same ``(matches, truncated)`` as `find_motifs`."""
+    `oracle_paths` in lexicographic order and a fresh `grade` per motif
+    edge, stopping at `max_results`.  Same ``(matches, truncated)`` as
+    `find_motifs`, with no walk read from the search module."""
     m_graph = motif.graph
     matches = []
     for assignment in itertools.product(range(host_graph.graph.n_vertices), repeat=m_graph.n_vertices):
@@ -215,10 +216,8 @@ def oracle_find_motifs(
             u = assignment[m_graph.edge_src[e]]
             v = assignment[m_graph.edge_tgt[e]]
             wanted = motif.labels[e]
-            fits = [
-                p for p in mg.paths_between(host_graph, u, v, max_path_len)
-                if mg.grade(p, host_graph) == wanted
-            ]
+            paths = [mg.Path(u, edges) for edges in sorted(oracle_paths(host_graph.graph, u, v, max_path_len))]
+            fits = [p for p in paths if mg.grade(p, host_graph) == wanted]
             if not fits:
                 break
             candidates.append(fits)

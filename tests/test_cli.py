@@ -47,6 +47,25 @@ class TestLoops:
         assert sorted(row["polarity"] for row in payload["loops"]) == ["+", "-"]
 
 
+    @pytest.mark.parametrize(
+        "ab_first, line",
+        [(True, "edges [ab, ba]; a -> b -> a; polarity x"), (False, "edges [ba, ab]; b -> a -> b; polarity x")],
+    )
+    def test_polarity_over_a_non_commutative_table_ignores_edge_order(self, capsys, tmp_path, ab_first, line):
+        # 1, x, y with xy = x and yx = y: the loop's rotations grade to y
+        # (from a->b) and x (from b->a), and x has the lesser index
+        algebra = {
+            "kind": "finite-table", "elements": ["1", "x", "y"],
+            "mul_table": [0, 1, 2, 1, 1, 1, 2, 2, 2], "unit": 0, "flags": {"commutative": False},
+        }
+        ab = {"id": "ab", "src": "a", "tgt": "b", "label": "x"}
+        ba = {"id": "ba", "src": "b", "tgt": "a", "label": "y"}
+        graph = {"algebra": algebra, "vertices": [{"id": "a"}, {"id": "b"}], "edges": [ab, ba] if ab_first else [ba, ab]}
+        (tmp_path / "m.json").write_text(json.dumps({"format": 1, "graph": graph}), encoding="utf-8")
+        code, out, _ = run(capsys, "loops", tmp_path / "m.json")
+        assert (code, out) == (0, f"1 simple loop class(es)\n  loop 0: {line}\n")
+
+
 class TestValidate:
     def test_good_files_pass(self, capsys):
         code, out, _ = run(capsys, "validate", FIXTURES / "homework.json")
@@ -309,6 +328,41 @@ class TestEmergence:
             "--right", FIXTURES / "open_right.json",
         )
         assert code == 1 and "injective" in err
+
+
+def _k8_and_back(tmp_path):
+    """X is the complete digraph on eight vertices plus an edge s->t, open
+    on {s, t}; Y is one edge t->s.  Their composite has over 10,000 loops."""
+    names = [f"k{i}" for i in range(8)]
+    edges = [{"id": a + b, "src": a, "tgt": b, "label": 1} for a in names for b in names if a != b]
+
+    def write(name, vertices, edges, left, right):
+        inner = {"algebra": "TrivialOne", "vertices": [{"id": v} for v in vertices], "edges": edges}
+        og = {
+            "inner": inner, "left_foot": left, "right_foot": right,
+            "leg_in": {v: v for v in left}, "leg_out": {v: v for v in right},
+        }
+        (tmp_path / name).write_text(json.dumps({"format": 1, "open_graph": og}), encoding="utf-8")
+        return tmp_path / name
+
+    x = write("x.json", names + ["s", "t"], edges + [{"id": "st", "src": "s", "tgt": "t", "label": 1}], [], ["s", "t"])
+    y = write("y.json", ["s", "t"], [{"id": "ts", "src": "t", "tgt": "s", "label": 1}], ["s", "t"], [])
+    return x, y
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback(tmp_path):
+    x, y = _k8_and_back(tmp_path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monograph.cli", "emergence", "--left", str(x), "--right", str(y)],
+        env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    # the rest of the report is far more than a pipe holds
+    assert proc.stdout.readline().startswith("10000 loop(s)")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) != 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestChangeLabels:

@@ -30,6 +30,7 @@ from helpers import (
     q4,
     r5,
     rand_graph,
+    rand_labels,
     recursion_limit,
 )
 
@@ -323,6 +324,34 @@ class TestLoopPolarity:
         assert hw.algebra.label_text(mg.loop_polarity(long_loop, hw)) == "+"
         short_loop = mg.SimpleLoop((2, 3, 4))
         assert hw.algebra.label_text(mg.loop_polarity(short_loop, hw)) == "-"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_least_rotation_product_over_non_commutative_tables(self, rnd):
+        # the transformation monoid of a few random maps on a few states
+        states = rnd.randint(2, 3)
+        maps = tuple(tuple(rnd.randrange(states) for _ in range(states)) for _ in range(rnd.randint(2, 3)))
+        sa = mg.Semiautomaton(tuple(map(str, range(states))), tuple(f"a{i}" for i in range(len(maps))), maps)
+        algebra = mg.from_semiautomaton(sa).algebra
+        if algebra.flags.commutative:
+            algebra = SWAP_RESET
+        g = rand_graph(rnd, 5, 8)
+        labeled = rand_labels(rnd, g, algebra)
+        # edge e of `g` is edge new_id[e] of `renamed`
+        new_id = list(range(g.n_edges))
+        rnd.shuffle(new_id)
+        old_id = sorted(range(g.n_edges), key=new_id.__getitem__)
+        renamed = mg.LabeledGraph(
+            mg.graph(g.vertex_names, [(g.edge_src[e], g.edge_tgt[e]) for e in old_id]),
+            algebra,
+            tuple(labeled.labels[e] for e in old_id),
+        )
+        for loop in mg.simple_loops(g)[0]:
+            edges = loop.edges
+            rotations = [edges[i:] + edges[:i] for i in range(len(edges))]
+            least = min(mg.grade(mg.Path(g.edge_src[r[0]], r), labeled) for r in rotations)
+            assert mg.loop_polarity(loop, labeled) == least
+            assert mg.loop_polarity(mg.simple_loop(renamed.graph, [new_id[e] for e in edges]), renamed) == least
 
     def test_unit_labels_give_unit_polarity(self):
         labeled = mg.LabeledGraph(g2(), SIGN, (0, 0))
@@ -671,6 +700,13 @@ class TestRelationsAgainstFractions:
         for (m, n), counts in (((2, 3), [3, 9, 18]), ((3, 3), [15, 108, 405])):
             assert [len(mg.find_relations(_bundle(m, n), b)) for b in (1, 2, 3)] == counts
         assert len(mg.find_relations(_bundle(4, 4), 1)) == 1185
+
+    def test_bound_zero_answers_without_eliminating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("eliminated at bound 0")
+
+        monkeypatch.setattr(homology, "_combine", refuse)
+        assert mg.find_relations(_bundle(2, 1000), 0) == []
 
     def test_bundle_guard_texts(self):
         with pytest.raises(ValueError, match=r"^relation search space 5\^9 > guard 10\^6$"):
