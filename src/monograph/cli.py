@@ -217,7 +217,7 @@ def cmd_homology(args) -> int:
         return 0
     if zeroth:
         print(f"h0: {zeroth.description}")
-    print(f"h1 generators ({len(loops)} simple loop class(es)):")
+    print(f"h1 generators ({len(loops)} simple loop class(es))" + (" (truncated)" if truncated else "") + ":")
     for i, loop in enumerate(loops):
         print(f"  g{i}: [{', '.join(model.edge_ids[e] for e in loop.edges)}]")
     print(f"relations at coefficient bound {args.bound}: {len(relations)}")

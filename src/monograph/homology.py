@@ -238,68 +238,10 @@ def _split_components(vertices: list[int], comp: list[int], members: list[list[i
                     members.append(block)
 
 
-def _circuits_through(s: int, comp: list[int], g: Graph, found: list[SimpleLoop], cap: int) -> bool:
-    """Johnson's circuit search from `s` inside its component, the
-    vertices sharing ``comp[s]``, of which `s` is the least.
-
-    Edges are tried in `out_adjacency` order, and a vertex is blocked only
-    while every path from it back to `s` meets the current trail, so the
-    circuits come out in the order of the unpruned depth-first search.
-    Appends them to `found`; returns False once `found` reaches `cap`.
-    """
-    inside = comp[s]
-    out_adjacency, edge_tgt = g.out_adjacency, g.edge_tgt
-    blocked = {s}
-    waiting: dict[int, set[int]] = {}  # Johnson's B lists
-    trail: list[int] = []
-    # [vertex, its untried out-edges, whether a circuit closed through it]
-    frames = [[s, iter(out_adjacency[s]), False]]
-    while frames:
-        frame = frames[-1]
-        for e in frame[1]:
-            w = edge_tgt[e]
-            if w == s:
-                trail.append(e)
-                found.append(SimpleLoop(canonical_rotation(trail)))
-                trail.pop()
-                if len(found) >= cap:
-                    return False
-                frame[2] = True
-            elif comp[w] == inside and w not in blocked:
-                blocked.add(w)
-                trail.append(e)
-                frames.append([w, iter(out_adjacency[w]), False])
-                break
-        else:
-            frames.pop()
-            v, _, closed = frame
-            if closed:
-                pending = [v]
-                while pending:
-                    u = pending.pop()
-                    if u in blocked:
-                        blocked.discard(u)
-                        pending.extend(waiting.pop(u, ()))
-            else:
-                for e in out_adjacency[v]:
-                    w = edge_tgt[e]
-                    if comp[w] == inside:
-                        waiting.setdefault(w, set()).add(v)
-            if frames:
-                trail.pop()
-                if closed:
-                    frames[-1][2] = True
-    return True
-
-
-def simple_loops(g: Graph, cap: int = LOOP_CAP):
-    """All elementary directed circuits, one per rotation class.
-
-    Parallel edges give distinct circuits.  Returns ``(loops, truncated)``
-    sorted by canonical edge sequence; `truncated` reports hitting the cap.
-    The loops kept are then the first `cap` met when each circuit is
-    anchored at its least vertex and searched depth first in
-    `out_adjacency` order.
+def _circuits(g: Graph):
+    """Yield every elementary directed circuit once, as a canonical
+    SimpleLoop, in the order met when each is anchored at its least vertex
+    and searched depth first in `out_adjacency` order.
 
     Johnson's algorithm: anchor `s` searches only inside its strongly
     connected component of the subgraph induced on {s, ..., n-1}.  After
@@ -307,8 +249,10 @@ def simple_loops(g: Graph, cap: int = LOOP_CAP):
     again, so vertices on no circuit cost O(1) each.  A component with as
     many internal edges as vertices (at least two) is one circuit: it is
     walked from `s` and leaves the graph whole, without a search or a split.
+    In a search a vertex is blocked only while every path from it back to
+    `s` meets the current trail, so the circuits come out in the order of
+    the unpruned depth-first search.
     """
-    found: list[SimpleLoop] = []
     # comp[v]: the id of v's component, an index into `members`; -1 before
     # the first split, once v has been an anchor, and once its ring is found
     comp = [-1] * g.n_vertices
@@ -325,9 +269,7 @@ def simple_loops(g: Graph, cap: int = LOOP_CAP):
             # only self-loops close here, and no later search enters `s`
             for e in out_adjacency[s]:
                 if edge_tgt[e] == s:
-                    found.append(SimpleLoop((e,)))
-                    if len(found) >= cap:
-                        return sorted(found, key=lambda loop: loop.edges), True
+                    yield SimpleLoop((e,))
             continue
         # each vertex of a strongly connected block has an internal edge
         # out, so a block with no more internal edges than vertices is a
@@ -339,17 +281,62 @@ def simple_loops(g: Graph, cap: int = LOOP_CAP):
             trail = [step[s]]
             while edge_tgt[trail[-1]] != s:
                 trail.append(step[edge_tgt[trail[-1]]])
-            found.append(SimpleLoop(canonical_rotation(trail)))
-            if len(found) >= cap:
-                return sorted(found, key=lambda loop: loop.edges), True
+            yield SimpleLoop(canonical_rotation(trail))
             for v in block:
                 comp[v] = -1
             continue
-        if not _circuits_through(s, comp, g, found, cap):
-            return sorted(found, key=lambda loop: loop.edges), True
+        blocked = {s}
+        waiting: dict[int, set[int]] = {}  # Johnson's B lists
+        trail = []
+        # [vertex, its untried out-edges, whether a circuit closed through it]
+        frames = [[s, iter(out_adjacency[s]), False]]
+        while frames:
+            frame = frames[-1]
+            for e in frame[1]:
+                w = edge_tgt[e]
+                if w == s:
+                    yield SimpleLoop(canonical_rotation(trail + [e]))
+                    frame[2] = True
+                elif comp[w] == inside and w not in blocked:
+                    blocked.add(w)
+                    trail.append(e)
+                    frames.append([w, iter(out_adjacency[w]), False])
+                    break
+            else:
+                frames.pop()
+                v, _, closed = frame
+                if closed:
+                    pending = [v]
+                    while pending:
+                        u = pending.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            pending.extend(waiting.pop(u, ()))
+                else:
+                    for e in out_adjacency[v]:
+                        w = edge_tgt[e]
+                        if comp[w] == inside:
+                            waiting.setdefault(w, set()).add(v)
+                if frames:
+                    trail.pop()
+                    if closed:
+                        frames[-1][2] = True
         comp[s] = -1
         _split_components([v for v in block if v != s], comp, members, g)
-    return sorted(found, key=lambda loop: loop.edges), False
+
+
+def simple_loops(g: Graph, cap: int = LOOP_CAP):
+    """All elementary directed circuits, one per rotation class.
+
+    Parallel edges give distinct circuits.  Returns ``(loops, truncated)``:
+    the first `cap` circuits `_circuits` meets, sorted by canonical edge
+    sequence, and whether more exist, as `find_motif_groups` reports
+    `max_results`.  Raises ValueError when `cap` is negative.
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
+    loops = list(itertools.islice(_circuits(g), cap + 1))
+    return sorted(loops[:cap], key=lambda loop: loop.edges), len(loops) > cap
 
 
 def decompose_cycle(c: Chain, g: Graph) -> list[SimpleLoop]:
@@ -606,13 +593,16 @@ def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None) -> list[Ch
     Vertices are placed in ascending id, each edge is assigned once its
     later endpoint is placed, and a vertex whose last edge gets a value must
     balance (forward checking; the coefficient view is commutative, so the
-    order of summing is immaterial).  Raises ValueError past `_CYCLE_GUARD` tries.
+    order of summing is immaterial).  Raises ValueError past `_CYCLE_GUARD`
+    tries, or when `bound` is negative.
     """
     if isinstance(algebra, TableAlgebra):
         values = range(algebra.size)
     elif algebra == NAT:
         if bound is None:
             raise ValueError("natural-number enumeration needs a coefficient bound")
+        if bound < 0:
+            raise ValueError(f"coefficient bound must be at least 0, got {bound}")
         values = range(bound + 1)
     else:
         raise ValueError(f"cycles are enumerated over finite tables or NatAdd, not {algebra_name(algebra)}")

@@ -40,8 +40,10 @@ class ValidationReport:
 
 
 def _over_guard(space: str, allowed: int) -> str:
-    """`space` against the guard `allowed`, writing 1000000 as 10^6 and 2000000 as 2*10^6."""
-    digits, head = str(allowed), str(allowed).rstrip("0")
-    if len(head) == 1 and head != digits:
-        digits = ("" if head == "1" else head + "*") + f"10^{len(digits) - 1}"
-    return f"{space} > guard {digits}"
+    """`space` against the guard `allowed`, spelt in digits or as a power
+    of ten, whichever is shorter: 5000 stays 5000, 1000000 is 10^6 and
+    2000000 is 2*10^6."""
+    digits = str(allowed)
+    head = digits.rstrip("0")
+    power = ("" if head == "1" else head + "*") + f"10^{len(digits) - len(head)}"
+    return f"{space} > guard {min(digits, power, key=len)}"

@@ -252,6 +252,17 @@ def ring(n: int, algebra=SIGN, label="+") -> mg.LabeledGraph:
     )
 
 
+def bundle_file(tmp_path: Path, forth: int, back: int) -> Path:
+    """A SIGN model file of `forth` parallel edges u -> v and `back`
+    parallel edges v -> u: forth * back simple loops."""
+    edges = [{"id": f"a{i}", "src": "u", "tgt": "v", "label": "+"} for i in range(forth)]
+    edges += [{"id": f"b{i}", "src": "v", "tgt": "u", "label": "-"} for i in range(back)]
+    path = tmp_path / f"bundle{forth}x{back}.json"
+    graph = {"algebra": "SIGN", "vertices": [{"id": "u"}, {"id": "v"}], "edges": edges}
+    path.write_text(json.dumps({"format": 1, "graph": graph}))
+    return path
+
+
 def oracle_simple_loops(g: mg.Graph, cap: int = LOOP_CAP):
     """Unpruned depth-first circuit search: every path from each anchor
     over larger vertices, in ascending edge order, stopping at `cap`."""
@@ -265,7 +276,7 @@ def oracle_simple_loops(g: mg.Graph, cap: int = LOOP_CAP):
             if w == anchor:
                 seq = trail + [e]
                 found.append(mg.SimpleLoop(min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))))
-                if len(found) >= cap:
+                if len(found) > cap:
                     return False
             elif w > anchor and w not in visited:
                 if not search(anchor, w, visited | {w}, trail + [e]):
@@ -277,7 +288,7 @@ def oracle_simple_loops(g: mg.Graph, cap: int = LOOP_CAP):
         if not search(anchor, anchor, {anchor}, []):
             truncated = True
             break
-    return sorted(found, key=lambda loop: loop.edges), truncated
+    return sorted(found[:cap], key=lambda loop: loop.edges), truncated
 
 
 def oracle_relations(loops, bound: int):

@@ -20,6 +20,7 @@ from helpers import (
     GRADED_ALGEBRAS,
     algebra_model_json,
     broken_product_rig,
+    bundle_file,
     rand_graded_labels,
     rand_graph,
     recursion_limit,
@@ -294,6 +295,14 @@ class TestHomology:
         payload = json.loads(out)
         assert len(payload["generators"]) == 6
         assert len(payload["relations"]) == 3
+
+    def test_a_truncated_loop_list_is_marked_in_text_as_in_json(self, capsys, tmp_path):
+        path = bundle_file(tmp_path, 100, 101)
+        code, out, _ = run(capsys, "homology", path, "--bound", "0")
+        assert code == 0
+        assert "h1 generators (10000 simple loop class(es)) (truncated):\n" in out
+        code, out, _ = run(capsys, "homology", path, "--bound", "0", "--json")
+        assert code == 0 and json.loads(out)["truncated"]
 
 
 class TestEmergence:

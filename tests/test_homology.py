@@ -205,26 +205,22 @@ class TestRings:
     def test_a_ring_costs_one_split_and_no_search(self, monkeypatch):
         from monograph import homology
 
-        calls = {"split": 0, "search": 0}
-        split, search = homology._split_components, homology._circuits_through
+        splits = []
+        split = homology._split_components
 
         def counted_split(*args):
-            calls["split"] += 1
+            splits.append(len(args[0]))
             return split(*args)
 
-        def counted_search(*args):
-            calls["search"] += 1
-            return search(*args)
-
         monkeypatch.setattr(homology, "_split_components", counted_split)
-        monkeypatch.setattr(homology, "_circuits_through", counted_search)
         n = 1500
         g = mg.graph([f"v{i}" for i in range(n)], _cycle(list(range(n))))
         assert mg.simple_loops(g) == ([mg.SimpleLoop(tuple(range(n)))], False)
-        assert calls == {"split": 1, "search": 0}
-        # a chord makes the block two circuits, found by the search
+        assert splits == [n]
+        # a chord makes the block two circuits, found by a search from
+        # vertex 0, after which the other n - 1 vertices are split again
         g = mg.graph([f"v{i}" for i in range(n)], _cycle(list(range(n))) + [(0, n // 2)])
-        assert len(mg.simple_loops(g)[0]) == 2 and calls["search"] == 1
+        assert len(mg.simple_loops(g)[0]) == 2 and splits == [n, n, n - 1]
 
 
 class TestDecompose:
@@ -503,8 +499,9 @@ class TestCycles:
                 assert len(mg.cycles(loops, algebra, bound)) == size**n_edges
 
     def test_guard_text_writes_powers_of_ten(self):
-        texts = [_over_guard("space", n) for n in (0, 3, 10, 12000, 10**6, 2 * 10**6)]
-        assert [t.removeprefix("space > guard ") for t in texts] == ["0", "3", "10^1", "12000", "10^6", "2*10^6"]
+        texts = [_over_guard("space", n) for n in (0, 3, 10, 5000, 12000, 10**4, 10**6, 2 * 10**6)]
+        spelt = ["0", "3", "10", "5000", "12000", "10^4", "10^6", "2*10^6"]
+        assert [t.removeprefix("space > guard ") for t in texts] == spelt
 
     def test_other_builtins_and_missing_bounds_are_refused(self):
         with pytest.raises(ValueError, match="needs a coefficient bound"):
@@ -513,6 +510,12 @@ class TestCycles:
             mg.cycles(g2(), mg.named_algebra("IntAdd"), 1)
         with pytest.raises(ValueError, match="no coefficient view"):
             mg.cycles(mg.graph(["u"], []), SWAP_RESET)
+
+    def test_a_negative_natural_bound_is_refused(self):
+        # the zero chain is always a cycle, so no bound may leave it out
+        for g in (g2(), mg.graph([], [])):
+            with pytest.raises(ValueError, match=r"^coefficient bound must be at least 0, got -1$"):
+                mg.cycles(g, NAT, -1)
 
     def test_deep_ring_stays_off_the_interpreter_stack(self):
         n = 3000
