@@ -69,7 +69,8 @@ def cmd_validate(args) -> int:
             failures += 1
             continue
         problems = []
-        for algebra in {id(a): a for a in (model.algebra, getattr(model.any_graph, "algebra", None)) if a}.values():
+        # equal algebras, such as a file's table repeated inline in its graph, are checked once
+        for algebra in dict.fromkeys(a for a in (model.algebra, getattr(model.any_graph, "algebra", None)) if a):
             report = validate_algebra(algebra)
             if not report.ok:
                 problems.append(report.summary())
@@ -300,6 +301,8 @@ def _resolve_hom(args, g):
         hom = MonoidHom(source, target, mapping=mapping, name="from-file")
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"bad hom file: {exc}") from None
+    except RecursionError:
+        raise CliError("bad hom file: nested too deeply to decode") from None
     report = validate_hom(hom)  # exhaustive over the finite source
     if not report.ok:
         first = report.violations[0]
@@ -331,6 +334,8 @@ def cmd_decompose(args) -> int:
         raw = json.loads(args.chain)
     except json.JSONDecodeError as exc:
         raise CliError(f"bad --chain JSON: {exc.msg}") from None
+    except RecursionError:
+        raise CliError("bad --chain JSON: nested too deeply to decode") from None
     if not isinstance(raw, dict):
         raise CliError("--chain must be a JSON object of edge id -> coefficient")
     edge_index = {eid: e for e, eid in enumerate(model.edge_ids)}

@@ -29,7 +29,7 @@ from typing import Sequence
 from .algebra import Element, LabelAlgebra, TableAlgebra, algebra_name, named_algebra
 from .graphs import Graph, LabeledGraph, undirected_components
 from .paths import Path, grade
-from .validation import _over_guard
+from .validation import _assignments, _over_guard
 
 NAT = named_algebra("NatAdd")
 
@@ -609,36 +609,29 @@ def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None) -> list[Ch
     add, zero = algebra.add, algebra.zero  # zero raises unless there is a coefficient view
     src, tgt = g.edge_src, g.edge_tgt
     order = sorted(range(g.n_edges), key=lambda e: (max(src[e], tgt[e]), e))
-    if not order:
-        return [chain(algebra, {})]
     last = {v: i for i, e in enumerate(order) for v in (src[e], tgt[e])}
     closing: list[list[int]] = [[] for _ in order]  # the vertices whose last edge is order[i]
     for v, i in last.items():
         closing[i].append(v)
-    # a found cycle is stored as one integer, its coefficients as digits, edge 0 first
-    weight = [len(values) ** (g.n_edges - 1 - e) for e in range(g.n_edges)]
     out_sum, in_sum = [zero] * g.n_vertices, [zero] * g.n_vertices
-    found, nodes = [], 0
-    frames = [(iter(values), zero, zero, 0)]  # untried values, out-sum at src and in-sum at tgt, digits so far
-    while frames:
-        i = len(frames) - 1
-        e = order[i]
-        untried, out_before, in_before, code_before = frames[-1]
-        for x in untried:
+    nodes = 0
+
+    def balancing(i: int, _):
+        # the values of edge order[i] that balance the vertices it closes
+        nonlocal nodes
+        s, t = src[order[i]], tgt[order[i]]
+        out_before, in_before = out_sum[s], in_sum[t]
+        for x in values:
             nodes += 1
             if nodes > _CYCLE_GUARD:
                 space = f"cycle search space {len(values)}^{len(order)} expanded {nodes} nodes"
                 raise ValueError(_over_guard(space, _CYCLE_GUARD))
-            out_sum[src[e]], in_sum[tgt[e]] = add(out_before, x), add(in_before, x)
+            out_sum[s], in_sum[t] = add(out_before, x), add(in_before, x)
             if all(out_sum[v] == in_sum[v] for v in closing[i]):
-                code = code_before + x * weight[e]
-                if i + 1 == len(order):
-                    found.append(code)
-                else:
-                    f = order[i + 1]
-                    frames.append((iter(values), out_sum[src[f]], in_sum[tgt[f]], code))
-                    break
-        else:
-            out_sum[src[e]], in_sum[tgt[e]] = out_before, in_before
-            frames.pop()
-    return [chain(algebra, {e: code // w % len(values) for e, w in enumerate(weight)}) for code in sorted(found)]
+                yield x
+        out_sum[s], in_sum[t] = out_before, in_before
+
+    # a found cycle is stored as one integer, its coefficients as digits, edge 0 first
+    weight = [len(values) ** (g.n_edges - 1 - e) for e in order]
+    found = [sum(map(operator.mul, weight, xs)) for xs in _assignments(len(order), balancing)]
+    return [chain(algebra, {e: code // w % len(values) for e, w in zip(order, weight)}) for code in sorted(found)]

@@ -6,12 +6,12 @@ path lengths would make the search unbounded, so a length limit is part of
 the interface.
 
 The search walks the host once per source vertex it touches, filing the
-walks by (end, grade), and then assigns motif vertices by backtracking,
-checking each motif edge against those tables as soon as both its endpoints
-are placed, and drawing a vertex's candidates from the tables of placed
-neighbours at either end of its edges (candidate filtering as in Ullmann,
-J. ACM 1976, and VF2, Cordella et al., IEEE TPAMI 2004).  No step recurses,
-so deep hosts and long path limits never exhaust the interpreter's stack.
+walks by (end, grade).  The shared `validation._assignments` then places
+motif vertices, checking each motif edge against those tables once both
+its endpoints are placed and drawing a vertex's candidates from the tables
+of placed neighbours at either end of its edges (Ullmann, J. ACM 1976;
+VF2, Cordella et al., IEEE TPAMI 2004).  No step recurses, so deep hosts
+and long path limits never exhaust the interpreter's stack.
 
 The occurrences of one vertex assignment are the product of the walk lists
 of the motif's edges.  `find_motif_groups` returns them in that form, and
@@ -27,7 +27,7 @@ import math
 from .algebra import CATALOG
 from .graphs import LabeledGraph, labeled_graph
 from .paths import KleisliMorphism, Path
-from .validation import _over_guard
+from .validation import _assignments, _over_guard
 
 DEFAULT_MAX_PATH_LEN = 6
 DEFAULT_MAX_RESULTS = 10000
@@ -152,56 +152,46 @@ def find_motif_groups(
             table = tables[u] = _PathTable(host, u, max_path_len)
         return table
 
-    def candidates(i: int):
+    def fitting(i: int, assignment: list):
+        # the host vertices for motif vertex i whose checked edges all have walks, filed in `fits`
         e = narrow[i]
         if e is not None:
-            return iter(table_at(assignment[m_src[e]]).ends_with(m_labels[e]))
-        if lookahead[i] is None:
-            return iter(range(n))
-        if not starts:
-            for u in range(n):
-                for key in table_at(u).by_end_grade:
-                    starts.setdefault(key, []).append(u)
-        e, f = lookahead[i]
-        label = m_labels[e]
-        ends = table_at(assignment[m_src[f]]).ends_with(m_labels[f])
-        return iter(sorted(set().union(*[starts.get((x, label), ()) for x in ends])))
+            tried = table_at(assignment[m_src[e]]).ends_with(m_labels[e])
+        elif lookahead[i] is None:
+            tried = range(n)
+        else:
+            if not starts:
+                for u in range(n):
+                    for key in table_at(u).by_end_grade:
+                        starts.setdefault(key, []).append(u)
+            e, f = lookahead[i]
+            label = m_labels[e]
+            ends = table_at(assignment[m_src[f]]).ends_with(m_labels[f])
+            tried = sorted(set().union(*[starts.get((x, label), ()) for x in ends]))
+        for v in tried:
+            assignment[i] = v
+            if i == 0 and one_source:
+                tables.clear()
+            for e in checks[i]:
+                listed = table_at(assignment[m_src[e]]).by_end_grade.get((assignment[m_tgt[e]], m_labels[e]))
+                if listed is None:
+                    break
+                fits[e] = listed
+            else:
+                yield v
 
     fits: list = [None] * m_graph.n_edges  # per motif edge: the walks that fit it
-    assignment = [-1] * k
-    trying = [candidates(0)] if k else []  # per placed level: host vertices left to try
     groups: list[tuple] = []
     left = max_results  # matches the cap still allows
-    level = 0
-    while level >= 0:
-        if level == k:
-            walks = tuple(fits)
-            size = math.prod(map(len, walks))
-            if size > left:
-                if left:
-                    groups.append((tuple(assignment), walks, left))
-                return groups, True
-            groups.append((tuple(assignment), walks, size))
-            left -= size
-            level -= 1
-            continue
-        v = next(trying[level], None)
-        if v is None:
-            trying.pop()
-            level -= 1
-            continue
-        assignment[level] = v
-        if level == 0 and one_source:
-            tables.clear()
-        for e in checks[level]:
-            listed = table_at(assignment[m_src[e]]).by_end_grade.get((assignment[m_tgt[e]], m_labels[e]))
-            if listed is None:
-                break
-            fits[e] = listed
-        else:
-            level += 1
-            if level < k:
-                trying.append(candidates(level))
+    for assignment in _assignments(k, fitting):
+        walks = tuple(fits)
+        size = math.prod(map(len, walks))
+        if size > left:
+            if left:
+                groups.append((tuple(assignment), walks, left))
+            return groups, True
+        groups.append((tuple(assignment), walks, size))
+        left -= size
     return groups, False
 
 

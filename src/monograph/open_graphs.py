@@ -4,8 +4,8 @@ An open graph is a labeled graph plus two feet (bare finite sets, carrying
 no edges) whose elements point at vertices through leg functions.  Feet are
 matched by element name when composing.  Composition glues the shared foot
 by a vertex quotient; tensoring lays graphs side by side.  The monoidal
-laws only hold up to label-respecting isomorphism, which `iso_check`
-decides by backtracking, guarded by the vertex placements it tries.
+laws only hold up to label-respecting isomorphism, which `iso_check` decides
+on the shared `validation._assignments`, guarded by the placements it tries.
 
 2-morphisms come in three modes (label-preserving, Kleisli, additive),
 listed once in `MORPHISM_MODES`, and compose vertically.  Horizontal
@@ -34,7 +34,7 @@ from .graphs import (
     validate_morphism,
 )
 from .paths import KleisliMorphism, compose_kleisli, is_kleisli_morphism
-from .validation import ValidationReport, _over_guard
+from .validation import ValidationReport, _assignments, _over_guard
 
 
 @dataclass(frozen=True)
@@ -314,35 +314,29 @@ def iso_check(g1, g2):
 
     n = graph1.n_vertices
     candidates = [[w for w in range(n) if sig2[w] == s] for s in sig1]
-    f0: list[int] = []
-    untried = [iter(candidates[0])] if n else []  # per vertex being placed, the images left to try
+    used = [False] * n  # the images of the vertices before the one being placed
     tries = 0
-    while len(f0) < n:
-        if not untried:
-            return False, None
-        v = len(f0)
-        for w in untried[-1]:
-            if w in f0:
-                continue
+
+    def placing(v: int, f0: list):
+        # the unused images of v whose edges to and from the placed vertices match
+        nonlocal tries
+        # per placed u, v included: the texts of the edges v -> u and u -> v
+        row = [(u, texts1.get((v, u)), texts1.get((u, v))) for u in range(v + 1)]
+        for w in itertools.filterfalse(used.__getitem__, candidates[v]):
             tries += 1
             if tries > _ISO_GUARD:
                 raise ValueError(_over_guard(f"isomorphism search on {n} vertices tried {tries} placements", _ISO_GUARD))
-            f0.append(w)
-            # the edges between v and each placed u, v included, carry the labels of those between the images
-            if all(
-                texts1.get((v, u)) == texts2.get((w, x)) and texts1.get((u, v)) == texts2.get((x, w))
-                for u, x in enumerate(f0)
-            ):
-                if v + 1 < n:
-                    untried.append(iter(candidates[v + 1]))
-                break
-            f0.pop()
-        else:
-            untried.pop()
-            del f0[-1:]  # the vertex before v, if any, tries its next image
+            f0[v] = w
+            # the edges w -> f0[u] and f0[u] -> w carry the same texts
+            if all(texts2.get((w, f0[u])) == out and texts2.get((f0[u], w)) == into for u, out, into in row):
+                used[w] = True
+                yield w
+                used[w] = False
 
-    f1 = [0] * graph1.n_edges
-    for (a, b), edges in pairs1.items():
-        for e1, e2 in zip(edges, pairs2[f0[a], f0[b]]):
-            f1[e1] = e2
-    return True, (tuple(f0), tuple(f1))
+    for f0 in _assignments(n, placing):
+        f1 = [0] * graph1.n_edges
+        for (a, b), edges in pairs1.items():
+            for e1, e2 in zip(edges, pairs2[f0[a], f0[b]]):
+                f1[e1] = e2
+        return True, (tuple(f0), tuple(f1))
+    return False, None

@@ -1,5 +1,6 @@
 """Structured validation reports shared by the algebra and graph checkers,
-and the message of a search that ran past its guard."""
+the message of a search that ran past its guard, and the one search over
+assignments that the cycle, motif and isomorphism searches share."""
 
 from __future__ import annotations
 
@@ -47,3 +48,24 @@ def _over_guard(space: str, allowed: int) -> str:
     head = digits.rstrip("0")
     power = ("" if head == "1" else head + "*") + f"10^{len(digits) - len(head)}"
     return f"{space} > guard {min(digits, power, key=len)}"
+
+
+def _assignments(k: int, extend):
+    """Each assignment of values to levels 0..k-1, depth first.
+    `extend(level, assignment)` iterates the values that fit at `level`,
+    the earlier levels placed; the one list is yielded, reused, whenever
+    all `k` are (once when `k` is 0).  No call recurses."""
+    assignment = [None] * k
+    untried = [extend(0, assignment)] if k else []  # per level being placed, the values left to try
+    if not k:
+        yield assignment
+    while untried:
+        level = len(untried) - 1
+        for assignment[level] in untried[-1]:
+            if level + 1 == k:
+                yield assignment
+            else:
+                untried.append(extend(level + 1, assignment))
+                break
+        else:
+            untried.pop()

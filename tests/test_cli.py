@@ -163,6 +163,20 @@ class TestValidate:
             "9287b3e2767b14de19943a7ec3aa1459423d0845f1ef653c9fa98024530d9a9d"
         )
 
+    def test_a_table_given_twice_is_reported_once(self, capsys, tmp_path, monkeypatch):
+        # the file's algebra and its graph's inline table: two equal objects, not one
+        monkeypatch.chdir(tmp_path)
+        table = {"kind": "finite-table", "elements": ["a", "b"], "mul_table": [1, 1, 1, 1], "unit": 1}
+        graph = {"algebra": table, "vertices": [{"id": "u"}], "edges": []}
+        Path("twice.json").write_text(json.dumps({"format": 1, "algebra": table, "graph": graph}))
+        code, out, err = run(capsys, "validate", "twice.json")
+        assert (code, err) == (1, "")
+        assert out == (
+            "twice.json: INVALID\n"
+            "  finite-table algebra: 1 violation(s)\n"
+            "    [axiom/unit] mul: b is not a unit at a\n"
+        )
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -514,7 +528,7 @@ class TestOutputErrors:
     def test_deeply_nested_chain_is_an_error(self, capsys):
         code, out, err = run(capsys, "decompose", FIXTURES / "q4.json", "--chain", "[" * 10**5)
         assert code == 1 and not out
-        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+        assert err == "error: bad --chain JSON: nested too deeply to decode\n"
 
     def test_deeply_nested_hom_file_is_an_error(self, capsys, tmp_path):
         deep = tmp_path / "hom.json"
@@ -524,7 +538,7 @@ class TestOutputErrors:
             "--hom-file", deep, "--out", tmp_path / "out.json",
         )
         assert code == 1 and not out
-        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+        assert err == "error: bad hom file: nested too deeply to decode\n"
 
     def test_negative_motif_result_cap(self, capsys):
         code, out, err = run(
