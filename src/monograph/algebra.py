@@ -193,6 +193,9 @@ def _nat_only(v: Any) -> int:
 def _rat(v: Any) -> Fraction:
     if isinstance(v, bool) or not isinstance(v, (int, str, Fraction)):
         raise KeyError(f"{v!r} is not an exact rational label (use int or 'p/q' string)")
+    # `Fraction` expands an exponent, at a cost that grows with its value
+    if isinstance(v, str) and ("e" in v or "E" in v):
+        raise KeyError(f"{v!r} is not an exact rational label")
     try:
         return Fraction(v)
     except (ValueError, ZeroDivisionError) as exc:
@@ -223,7 +226,7 @@ _BUILTINS: dict[str, BuiltinAlgebra] = {
             mul=lambda a, b: 1,
             one=1,
             contains=lambda x: x == 1 and not isinstance(x, bool),
-            parse_label=lambda v: 1 if v in (1, "1") else _raise_unknown(v),
+            parse_label=lambda v: 1 if v == "1" or _is_int(v) and v == 1 else _raise_unknown(v),
             sample=lambda rng: 1,
             flags=Flags(commutative=True, cancellative=True),
         ),

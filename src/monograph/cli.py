@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("motif", help="find motif occurrences in a host graph")
     p.add_argument("--motif", required=True, help="builtin motif name or a model file")
     p.add_argument("--host", required=True)
-    # no defaults here: an option not given keeps find_motifs' own default
+    # no defaults here: an option not given keeps find_motif_groups' own default
     p.add_argument("--max-path-len", type=int)
     p.add_argument("--max-results", type=int)
     p.add_argument("--json", action="store_true")

@@ -173,44 +173,6 @@ def algebra_to_json(algebra: LabelAlgebra) -> Any:
     return obj
 
 
-def _graph_columns(vertices: list, edges: list, algebra: LabelAlgebra) -> Optional[tuple]:
-    """``(vertex_ids, names, edge_ids, src, tgt, labels)`` read column by
-    column and checked in C, or None when some entry fails a check; the
-    per-entry loop in `parse_graph` then names it."""
-    if not set(map(type, itertools.chain(vertices, edges))) <= {dict}:
-        return None
-    try:
-        vertex_ids = list(map(operator.itemgetter("id"), vertices))
-        rows = list(map(operator.itemgetter("id", "src", "tgt", "label"), edges))
-    except KeyError:
-        return None
-    edge_ids, src, tgt, labels = map(list, zip(*rows)) if rows else ([], [], [], [])
-    ids = (vertex_ids, edge_ids, src, tgt)
-    kinds = set(map(type, itertools.chain(*ids)))
-    if not kinds <= {str}:
-        if not kinds <= {str, int}:
-            return None
-        vertex_ids, edge_ids, src, tgt = (list(map(str, column)) for column in ids)
-    index = dict(zip(vertex_ids, range(len(vertex_ids))))
-    names = list(map(dict.get, vertices, itertools.repeat("name"), vertex_ids))
-    if len(index) < len(vertex_ids) or len(set(edge_ids)) < len(edge_ids) or not set(map(type, names)) <= {str}:
-        return None
-    try:
-        src = list(map(index.__getitem__, src))
-        tgt = list(map(index.__getitem__, tgt))
-        if isinstance(algebra, TableAlgebra):
-            if not set(map(type, labels)) <= {str}:
-                return None
-            # the first of equal names wins, as in `elements.index`
-            n = len(algebra.elements)
-            labels = list(map(dict(zip(reversed(algebra.elements), range(n - 1, -1, -1))).__getitem__, labels))
-        else:
-            labels = list(map(algebra.parse_label, labels))
-    except KeyError:
-        return None
-    return vertex_ids, names, edge_ids, src, tgt, labels
-
-
 def parse_graph(obj: Any):
     """Parse a graph object; returns (LabeledGraph, vertex_ids, edge_ids)."""
     from .graphs import Graph, LabeledGraph
@@ -222,24 +184,24 @@ def parse_graph(obj: Any):
     edges = obj.get("edges", [])
     _require(isinstance(vertices, list), "schema", "graph.vertices must be a list")
     _require(isinstance(edges, list), "schema", "graph.edges must be a list")
-    columns = _graph_columns(vertices, edges, algebra)
-    if columns is None:
-        columns = _graph_entries(vertices, edges, algebra)
-    vertex_ids, names, edge_ids, src, tgt, labels = map(tuple, columns)
+    vertex_ids, names, edge_ids, src, tgt, labels = map(tuple, _graph_entries(vertices, edges, algebra))
     graph = LabeledGraph(Graph(names, src, tgt), algebra, labels)
     return graph, vertex_ids, edge_ids
 
 
 def _graph_entries(vertices: list, edges: list, algebra: LabelAlgebra) -> tuple:
-    """`_graph_columns` one entry at a time: raises on the first entry that
-    fails a check, with its message."""
+    """``(vertex_ids, names, edge_ids, src, tgt, labels)`` read entry by
+    entry; raises on the first entry that fails a check, with its message.
+    A check calls a helper or builds a message only when its fast test fails."""
     vertex_ids: list[str] = []
     names: list[str] = []
     index: dict[str, int] = {}
-    # each check builds its message only when it fails
     for entry in vertices:
-        _require(isinstance(entry, dict) and "id" in entry, "schema", "each vertex needs an id")
-        vid = _as_id(entry["id"], "vertex")
+        if not (isinstance(entry, dict) and "id" in entry):
+            raise ModelFormatError("schema", "each vertex needs an id")
+        vid = entry["id"]
+        if type(vid) is not str:
+            vid = _as_id(vid, "vertex")
         if vid in index:
             raise ModelFormatError("schema", f"duplicate vertex id {vid!r}")
         index[vid] = len(vertex_ids)
@@ -254,32 +216,47 @@ def _graph_entries(vertices: list, edges: list, algebra: LabelAlgebra) -> tuple:
     src: list[int] = []
     tgt: list[int] = []
     labels: list = []
+    # a table label is the index of the first element of its name, as in
+    # `elements.index`; any other label goes through `parse_label`
+    elements = algebra.elements if isinstance(algebra, TableAlgebra) else ()
+    element_index = dict(zip(reversed(elements), range(len(elements) - 1, -1, -1)))
     for entry in edges:
-        _require(isinstance(entry, dict) and "id" in entry, "schema", "each edge needs an id")
-        eid = _as_id(entry["id"], "edge")
+        if not (isinstance(entry, dict) and "id" in entry):
+            raise ModelFormatError("schema", "each edge needs an id")
+        eid = entry["id"]
+        if type(eid) is not str:
+            eid = _as_id(eid, "edge")
         if eid in seen_edges:
             raise ModelFormatError("schema", f"duplicate edge id {eid!r}")
         seen_edges.add(eid)
         edge_ids.append(eid)
-        for key in ("src", "tgt"):
-            if key not in entry:
-                raise ModelFormatError("schema", f"edge {eid!r} is missing {key}")
-            endpoint = entry[key]
-            if type(endpoint) is not str:
-                endpoint = _as_id(endpoint, f"edge {eid!r} {key}")
-            if endpoint not in index:
-                raise ModelFormatError(
-                    "dangling-id", f"edge {eid!r}: {key} {endpoint!r} is not a vertex id"
-                )
-            (src if key == "src" else tgt).append(index[endpoint])
+        try:
+            s, t = index[entry["src"]], index[entry["tgt"]]
+        except (KeyError, TypeError):
+            # a missing key, a bad or dangling id, or an integer id
+            s = None
+        if s is None:
+            ends = []
+            for key in ("src", "tgt"):
+                if key not in entry:
+                    raise ModelFormatError("schema", f"edge {eid!r} is missing {key}")
+                endpoint = _as_id(entry[key], f"edge {eid!r} {key}")
+                if endpoint not in index:
+                    raise ModelFormatError("dangling-id", f"edge {eid!r}: {key} {endpoint!r} is not a vertex id")
+                ends.append(index[endpoint])
+            s, t = ends
+        src.append(s)
+        tgt.append(t)
         if "label" not in entry:
             raise ModelFormatError("schema", f"edge {eid!r} is missing its label")
-        try:
-            labels.append(algebra.parse_label(entry["label"]))
-        except KeyError as exc:
-            raise ModelFormatError(
-                "unknown-element", f"edge {eid!r}: {exc.args[0]}"
-            ) from None
+        label = entry["label"]
+        value = element_index.get(label) if type(label) is str else None
+        if value is None:
+            try:
+                value = algebra.parse_label(label)
+            except KeyError as exc:
+                raise ModelFormatError("unknown-element", f"edge {eid!r}: {exc.args[0]}") from None
+        labels.append(value)
     return vertex_ids, names, edge_ids, src, tgt, labels
 
 

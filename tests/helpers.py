@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import monograph as mg
 from monograph.homology import LOOP_CAP
+from monograph.model_io import ModelFormatError, _as_id, _require
 from monograph.open_graphs import _as_parts
 from monograph.validation import AXIOM, STRUCTURE, _over_guard
 
@@ -674,3 +675,57 @@ def oracle_iso_check(g1, g2, max_vertices: int = 12):
         for e1, e2 in zip(edges1, edges2):
             f1[e1] = e2
     return True, (f0, tuple(f1))
+
+
+def oracle_graph_entries(vertices: list, edges: list, algebra) -> tuple:
+    """The graph reader written plainly, a helper call per check: the
+    reference that `model_io._graph_entries` is tested against.  Raises on
+    the first entry that fails a check, with its message."""
+    vertex_ids: list[str] = []
+    names: list[str] = []
+    index: dict[str, int] = {}
+    # each check builds its message only when it fails
+    for entry in vertices:
+        _require(isinstance(entry, dict) and "id" in entry, "schema", "each vertex needs an id")
+        vid = _as_id(entry["id"], "vertex")
+        if vid in index:
+            raise ModelFormatError("schema", f"duplicate vertex id {vid!r}")
+        index[vid] = len(vertex_ids)
+        vertex_ids.append(vid)
+        name = entry.get("name", vid)
+        if not isinstance(name, str):
+            raise ModelFormatError("schema", f"vertex {vid!r}: name must be a string")
+        names.append(name)
+
+    edge_ids: list[str] = []
+    seen_edges: set[str] = set()
+    src: list[int] = []
+    tgt: list[int] = []
+    labels: list = []
+    for entry in edges:
+        _require(isinstance(entry, dict) and "id" in entry, "schema", "each edge needs an id")
+        eid = _as_id(entry["id"], "edge")
+        if eid in seen_edges:
+            raise ModelFormatError("schema", f"duplicate edge id {eid!r}")
+        seen_edges.add(eid)
+        edge_ids.append(eid)
+        for key in ("src", "tgt"):
+            if key not in entry:
+                raise ModelFormatError("schema", f"edge {eid!r} is missing {key}")
+            endpoint = entry[key]
+            if type(endpoint) is not str:
+                endpoint = _as_id(endpoint, f"edge {eid!r} {key}")
+            if endpoint not in index:
+                raise ModelFormatError(
+                    "dangling-id", f"edge {eid!r}: {key} {endpoint!r} is not a vertex id"
+                )
+            (src if key == "src" else tgt).append(index[endpoint])
+        if "label" not in entry:
+            raise ModelFormatError("schema", f"edge {eid!r} is missing its label")
+        try:
+            labels.append(algebra.parse_label(entry["label"]))
+        except KeyError as exc:
+            raise ModelFormatError(
+                "unknown-element", f"edge {eid!r}: {exc.args[0]}"
+            ) from None
+    return vertex_ids, names, edge_ids, src, tgt, labels

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -524,6 +525,17 @@ class TestOutputErrors:
         code, out, err = run(capsys, "loops", deep)
         assert code == 1 and not out
         assert err == f"error: {deep}: [json-syntax] nested too deeply to decode\n"
+
+    def test_an_exponent_label_is_one_error_line_at_once(self, capsys, tmp_path):
+        # `Fraction` would expand the exponent, taking seconds for this one
+        path = tmp_path / "exponent.json"
+        edges = [{"id": "e", "src": "v", "tgt": "v", "label": "1e10000000"}]
+        path.write_text(json.dumps({"format": 1, "graph": {"algebra": "RatAdd", "vertices": [{"id": "v"}], "edges": edges}}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "loops", path)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and not out
+        assert err == f"error: {path}: [unknown-element] edge 'e': '1e10000000' is not an exact rational label\n"
 
     def test_deeply_nested_chain_is_an_error(self, capsys):
         code, out, err = run(capsys, "decompose", FIXTURES / "q4.json", "--chain", "[" * 10**5)

@@ -1,6 +1,7 @@
 """Model file parsing, canonical emission, and DOT export."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ import monograph as mg
 from monograph import model_io
 from monograph.model_io import ModelFormatError
 
-from helpers import BOOL, FIXTURES, NAT, S_RIG, SIGN
+from helpers import BOOL, FIXTURES, NAT, S_RIG, SIGN, oracle_graph_entries
 
 ALL_FIXTURES = sorted(FIXTURES.glob("*.json"))
 
@@ -197,11 +198,13 @@ class TestParsing:
                     "edges": [
                         {"id": "a", "src": "u", "tgt": "v", "label": 150},
                         {"id": "b", "src": "u", "tgt": "v", "label": "3/2"},
+                        {"id": "c", "src": "u", "tgt": "v", "label": "0.25"},
                     ],
                 },
             }
         )
         model = mg.parse_model(text)
+        assert model.graph.labels == (150, Fraction(3, 2), Fraction(1, 4))
         emitted = mg.emit_model(model)
         assert json.loads(emitted)["graph"]["edges"][1]["label"] == "3/2"
         assert mg.parse_model(emitted).graph == model.graph
@@ -405,12 +408,12 @@ def test_parse_messages_are_pinned(name):
     assert (info.value.code, str(info.value)) == expected
 
 
-# ------------------------------------------- graphs read by columns
+# ------------------------------------------- the graph reader and its oracle
 
 # an inline table whose element names repeat: a label names the first
 DUPLICATE_NAMES = {"kind": "finite-table", "elements": ["a", "b", "a"], "mul_table": [0] * 9, "unit": 0}
 ids = st.sampled_from(["a", "b", "c", "1", 1, 2, True, 1.5, None, ["a"]])
-labels = st.sampled_from(["+", "-", "0", "a", "b", "x", 0, 1, -1, "1/2", "1/0", 2.5, True, None])
+labels = st.sampled_from(["+", "-", "0", "a", "b", "x", 0, 1, -1, "1/2", "1/0", "1e3", 2.5, 1.0, True, None])
 
 
 @st.composite
@@ -418,7 +421,7 @@ def graph_objects(draw):
     """Graph sections, most of them valid: ids from a small pool so that
     duplicates and dangling endpoints occur, and now and then a missing key,
     a non-dict entry or a bad name or label."""
-    algebra = draw(st.sampled_from(["SIGN", "SIGN0", "NatAdd", "IntAdd", "RatAdd", DUPLICATE_NAMES]))
+    algebra = draw(st.sampled_from(["SIGN", "SIGN0", "TrivialOne", "NatAdd", "IntAdd", "RatAdd", "RatMulMonoid", DUPLICATE_NAMES]))
     vertex_ids = draw(st.lists(st.sampled_from(["a", "b", "c", 1, 2]), max_size=5, unique=True))
     if draw(st.integers(0, 4)) == 0:
         vertex_ids.append(draw(ids))
@@ -429,7 +432,8 @@ def graph_objects(draw):
     good_ends = st.sampled_from(vertex_ids or ["a"])
     good_labels = {
         "SIGN": st.sampled_from(["+", "-"]), "SIGN0": st.sampled_from(["+", "0", "-"]),
-        "NatAdd": st.integers(0, 3), "IntAdd": st.integers(-3, 3), "RatAdd": st.sampled_from([1, "1/2", "-3/4"]),
+        "TrivialOne": st.sampled_from([1, "1"]), "NatAdd": st.integers(0, 3), "IntAdd": st.integers(-3, 3),
+        "RatAdd": st.sampled_from([1, "1/2", "-3/4"]), "RatMulMonoid": st.sampled_from([-2, "0.5", "3/4"]),
     }.get(algebra if isinstance(algebra, str) else "", st.sampled_from(["a", "b"]))
     edges = []
     for e in range(draw(st.integers(0, 6))):
@@ -456,12 +460,12 @@ def _outcome(obj):
 
 @settings(max_examples=500, deadline=None)
 @given(graph_objects())
-def test_columns_read_what_the_entry_loop_reads(obj):
-    by_columns = _outcome(obj)
+def test_the_reader_reads_what_its_oracle_reads(obj):
+    read = _outcome(obj)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_io, "_graph_columns", lambda *args: None)
-        by_entries = _outcome(obj)
-    assert by_columns == by_entries
+        patch.setattr(model_io, "_graph_entries", oracle_graph_entries)
+        expected = _outcome(obj)
+    assert read == expected
 
 
 def test_a_table_label_names_the_first_equal_element():
@@ -469,3 +473,24 @@ def test_a_table_label_names_the_first_equal_element():
         {"algebra": DUPLICATE_NAMES, "vertices": [{"id": "v"}], "edges": [{"id": "e", "src": "v", "tgt": "v", "label": "a"}]}
     )
     assert graph.labels == (0,)
+
+
+def _one_edge_graph(algebra, label):
+    edges = [{"id": "e", "src": "v", "tgt": "v", "label": label}]
+    return {"format": 1, "graph": {"algebra": algebra, "vertices": [{"id": "v"}], "edges": edges}}
+
+
+def test_trivial_one_labels_are_the_integer_or_the_string_1():
+    for label in (1, "1"):
+        assert mg.parse_model(json.dumps(_one_edge_graph("TrivialOne", label))).graph.labels == (1,)
+    for label in (True, 1.0):
+        with pytest.raises(ModelFormatError) as info:
+            mg.parse_model(json.dumps(_one_edge_graph("TrivialOne", label)))
+        assert str(info.value) == f"[unknown-element] edge 'e': {label!r} is not an element of this algebra"
+
+
+@pytest.mark.parametrize("label", ["1e3", "2E-1", "1e10000000"])
+def test_a_rational_label_with_an_exponent_is_refused(label):
+    with pytest.raises(ModelFormatError) as info:
+        mg.parse_model(json.dumps(_one_edge_graph("RatAdd", label)))
+    assert str(info.value) == f"[unknown-element] edge 'e': {label!r} is not an exact rational label"
