@@ -6,10 +6,9 @@ participate through the rig's addition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import _coefficient_view
 from .graphs import GraphMorphism, LabeledGraph, _require_valid
+from .validation import record
 
 
 def _check_coefficient_algebra(src: LabeledGraph, dst: LabeledGraph) -> None:
@@ -19,7 +18,7 @@ def _check_coefficient_algebra(src: LabeledGraph, dst: LabeledGraph) -> None:
         raise ValueError("additive morphisms need a commutative label algebra")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdditiveMorphism:
     underlying: GraphMorphism
     source: LabeledGraph

@@ -26,16 +26,15 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
-from .validation import AXIOM, STRUCTURE, ValidationReport
+from .validation import AXIOM, STRUCTURE, ValidationReport, record
 
 Element = Any
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Flags:
     """Declared properties; `validate_algebra` / `is_cancellative` verify them."""
 
@@ -68,7 +67,7 @@ class _CoefficientView:
         raise ValueError(f"{name} has no coefficient view: it is neither a rig nor commutative")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TableAlgebra(_CoefficientView):
     """A finite monoid or rig given by explicit row-major operation tables.
 
@@ -120,7 +119,7 @@ class TableAlgebra(_CoefficientView):
         return range(self.size)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record(frozen=True, eq=False, repr=False)
 class BuiltinAlgebra(_CoefficientView):
     """An infinite algebra with exact arithmetic.
 
@@ -745,7 +744,7 @@ def _require_plain_table(algebra, op_name: str) -> None:
         raise ValueError(f"{op_name} acts on plain monoids, not rigs")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MonoidHom:
     """A map between label algebras, checkable as a homomorphism.
 

@@ -14,7 +14,6 @@ collapsing repeated letters leaves just the crossing pattern.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebra import LabelAlgebra
 from .graphs import LabeledGraph
@@ -32,9 +31,10 @@ from .homology import (
 )
 from .open_graphs import OpenGraph, _pushout
 from .paths import Path, check_path
+from .validation import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GluedGraph:
     """A composite graph remembering which side each edge and vertex came from."""
 
@@ -120,7 +120,7 @@ def _condition(c: Chain, g: GluedGraph, mode: str, side: str) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@dataclass
+@record()
 class MVReport:
     mode: str
     total_cycles: int
@@ -152,7 +152,7 @@ def mv_check(g: GluedGraph, algebra: LabelAlgebra, mode: str, bound=None, side: 
     return MVReport(mode, len(all_cycles), mismatches)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EmergenceRow:
     loop: SimpleLoop
     inherited: bool
@@ -160,7 +160,7 @@ class EmergenceRow:
     polarity: object
 
 
-@dataclass
+@record()
 class EmergenceReport:
     rows: list[EmergenceRow]
     truncated: bool

@@ -7,14 +7,13 @@ so parallel edges and renamings never disturb identity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, _tabulate, apply_hom
-from .validation import AXIOM, STRUCTURE, ValidationReport, _over_guard
+from .validation import AXIOM, STRUCTURE, ValidationReport, _over_guard, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Graph:
     vertex_names: tuple[str, ...]
     edge_src: tuple[int, ...]
@@ -72,7 +71,7 @@ def graph(vertices: Sequence[str], edges: Sequence[tuple[int, int]]) -> Graph:
     return Graph(tuple(vertices), src, tgt)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LabeledGraph:
     graph: Graph
     algebra: LabelAlgebra
@@ -111,7 +110,7 @@ def labeled_graph(
     return LabeledGraph(graph(vertices, edges), algebra, parsed)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GraphMorphism:
     """A pair of maps (vertices, edges); `validate_morphism` checks the squares."""
 
@@ -193,7 +192,7 @@ def change_labels(hom: MonoidHom, g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.graph, hom.target, tuple(apply_hom(hom, x) for x in g.labels))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Semiautomaton:
     """States acted on by inputs; `action[a][v]` is the next state."""
 

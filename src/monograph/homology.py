@@ -23,18 +23,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Element, LabelAlgebra, TableAlgebra, algebra_name, named_algebra
 from .graphs import Graph, LabeledGraph, undirected_components
 from .paths import Path, grade
-from .validation import _assignments, _over_guard
+from .validation import _assignments, _over_guard, record
 
 NAT = named_algebra("NatAdd")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Chain:
     """A finitely supported coefficient assignment; zero entries are dropped."""
 
@@ -103,7 +102,7 @@ def is_cycle(c: Chain, g: Graph) -> bool:
     return src_chain == tgt_chain
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class H0Result:
     components: tuple[tuple[int, ...], ...]
     description: str
@@ -124,7 +123,7 @@ def h0(g: Graph, algebra: LabelAlgebra) -> H0Result:
     return H0Result(blocks, f"C[pi0(G)]: free on {len(blocks)} undirected component(s)")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SimpleLoop:
     """A directed circuit visiting no vertex twice, stored as the
     lexicographically smallest rotation of its edge-id sequence."""
@@ -464,7 +463,7 @@ def loop_polarity(loop: SimpleLoop, g: LabeledGraph) -> Element:
     return polarity
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Relation:
     """Two distinct coefficient vectors over the loop list with equal chain sums."""
 

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from .algebra import (
@@ -31,6 +30,7 @@ from .algebra import (
     algebra_name,
     named_algebra,
 )
+from .validation import record
 
 if TYPE_CHECKING:
     # imported where a section is parsed: an algebra-only file loads neither
@@ -51,7 +51,7 @@ class ModelFormatError(ValueError):
         self.column = column
 
 
-@dataclass
+@record()
 class ModelFile:
     format_version: int = FORMAT_VERSION
     algebra: Optional[LabelAlgebra] = None
@@ -435,15 +435,17 @@ def _scalar_text(value: Any) -> Optional[str]:
     raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
-def _encoder(kinds: set):
-    """The function that writes scalars of the types in `kinds`, or None
-    unless all are scalar types; not int.__repr__ for a bool, which is not
+def _encoder(values, nl: str):
+    """The function that writes each of `values`, or None unless all are
+    scalars or all are lists of scalars, each then one `_bracketed` join
+    that closes at newline `nl`; not int.__repr__ for a bool, which is not
     json's spelling."""
-    if kinds == {str}:
-        return _encode_str
-    if kinds == {int}:
-        return int.__repr__
-    return _scalar_text if kinds <= _SCALARS else None
+    kinds = set(map(type, values))
+    cells = kinds and kinds <= {list, tuple}
+    if cells:
+        kinds = set(map(type, itertools.chain.from_iterable(values)))
+    encode = _encode_str if kinds == {str} else int.__repr__ if kinds == {int} else _scalar_text if kinds <= _SCALARS else None
+    return (lambda cell: _bracketed(map(encode, cell), nl)) if cells and encode else encode
 
 
 def _bracketed(texts, nl: str, brackets: str = "[]") -> str:
@@ -458,9 +460,10 @@ def _bracketed(texts, nl: str, brackets: str = "[]") -> str:
 
 def _record_list(records: list, nl: str) -> Optional[str]:
     """A list of dicts that share one key set of strings and hold only
-    scalars, written at newline `nl` column by column, or None when the
-    general walk must write it.  Every column's types are checked before
-    any is written; each row is one `%` of a template that holds the keys."""
+    scalars or lists of scalars, written at newline `nl` column by column,
+    or None when the general walk must write it.  Every column's types are
+    checked before any is written; each row is one `%` of a template that
+    holds the keys."""
     keys = records[0].keys()
     if not keys or set(map(type, records)) != {dict} or set(map(type, keys)) != {str}:
         return None
@@ -470,7 +473,7 @@ def _record_list(records: list, nl: str) -> Optional[str]:
     columns: list = []
     for name in names:
         column = list(map(operator.itemgetter(name), records))
-        encode = _encoder(set(map(type, column)))
+        encode = _encoder(column, nl + "    ")
         if encode is None:
             return None
         columns.append(map(encode, column))
@@ -488,10 +491,11 @@ def _canonical_json(obj: Any) -> str:
 
     With an `indent`, json writes through its pure-Python encoder, one
     generator step per scalar.  Here scalars are encoded by json's C
-    functions, a list or tuple of scalars is one `join`, and a list of
-    dicts of scalars that share one key set is written column by column
-    (`_record_list`).  Both are laid out by `_bracketed`.  Everything else,
-    such as a record list with a list in a column, goes through the
+    functions, a list or tuple of scalars is one `join`, and so is each
+    list of scalars in a list of them, and a list of dicts of scalars or
+    lists of scalars that share one key set is written column by column
+    (`_record_list`).  All are laid out by `_bracketed`.  Everything else,
+    such as a record list with a dict in a column, goes through the
     general walk, where containers are walked on an explicit stack and
     their text streams into one list of parts.  Raises TypeError and
     ValueError where json.dumps does, and TypeError for a dict key that is
@@ -539,7 +543,7 @@ def _canonical_json(obj: Any) -> str:
                 if type(value[0]) is dict:
                     # one record gains nothing from columns
                     text = _record_list(value, nl) if len(value) > 1 else None
-                elif (encode := _encoder(set(map(type, value)))) is not None:
+                elif (encode := _encoder(value, nl + "  ")) is not None:
                     text = _bracketed(map(encode, value), nl)
                 if text is not None:
                     emit(text)

@@ -17,7 +17,6 @@ edge-to-path maps along a shared foot has no settled recipe, and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Callable, Optional, Union
 
@@ -34,10 +33,10 @@ from .graphs import (
     validate_morphism,
 )
 from .paths import KleisliMorphism, compose_kleisli, is_kleisli_morphism
-from .validation import ValidationReport, _assignments, _over_guard
+from .validation import ValidationReport, _assignments, _over_guard, record, replace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpenGraph:
     inner: LabeledGraph
     left_foot: tuple[str, ...]
@@ -139,7 +138,7 @@ def tensor(x: OpenGraph, y: OpenGraph) -> OpenGraph:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OpenGraphMap:
     """A 2-morphism candidate: foot maps plus an inner map of the right mode."""
 
@@ -163,7 +162,7 @@ def _no_squares(k: KleisliMorphism) -> ValidationReport:
     return ValidationReport(subject="Kleisli morphism")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorphismMode:
     """One morphism notion: its inner maps, what their endpoints must equal on
     an open graph (`carrier`), and how to validate, check and compose them.

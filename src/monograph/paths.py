@@ -12,13 +12,12 @@ else is stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .algebra import Element, MonoidHom
 from .graphs import Graph, LabeledGraph, change_labels
+from .validation import record, replace
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Path:
     """An edge sequence starting at `start`; empty means the identity there."""
 
@@ -60,12 +59,12 @@ def compose_paths(p: Path, q: Path, g: Graph) -> Path:
     return Path(p.start, p.edges + q.edges)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class KleisliMorphism:
     source: LabeledGraph
     target: LabeledGraph
     vertex_map: tuple[int, ...]
-    edge_map: tuple[Path, ...] = field(default=())
+    edge_map: tuple[Path, ...] = ()
 
 
 def is_kleisli_morphism(k: KleisliMorphism):

@@ -1,6 +1,5 @@
 """Label algebra construction, validation, and homomorphisms."""
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
-from monograph.validation import AXIOM, STRUCTURE, Violation
+from monograph.validation import AXIOM, STRUCTURE, Violation, replace
 
 from helpers import (
     BOOL,
@@ -149,7 +148,7 @@ class TestValidateAlgebra:
     )
     def test_broken_builtin_record_is_caught(self, broken, codes):
         nat_rig = mg.named_algebra("NatRig")
-        bad = dataclasses.replace(nat_rig, **broken)
+        bad = replace(nat_rig, **broken)
         assert bad == nat_rig and hash(bad) == hash(nat_rig)  # equal by builtin_id alone
         found = [v.code for v in mg.validate_algebra(bad).violations]
         # every failing law is found, and the laws come in their stated order
@@ -388,8 +387,8 @@ def table_algebras(draw):
 
 
 BROKEN_NAT_RIGS = [
-    dataclasses.replace(mg.named_algebra("NatRig"), mul=lambda a, b: a * b + (a > 1 and b > 1)),
-    dataclasses.replace(mg.named_algebra("NatRig"), _rig_add=lambda a, b: a + 2 * b),
+    replace(mg.named_algebra("NatRig"), mul=lambda a, b: a * b + (a > 1 and b > 1)),
+    replace(mg.named_algebra("NatRig"), _rig_add=lambda a, b: a + 2 * b),
 ]
 
 
@@ -503,7 +502,7 @@ class TestBlockChecksMatchTheOracle:
         n = z257.size
         mul = list(z257.mul_table)
         mul[2 * n + 3] = 0  # 2+3 was 5
-        report = mg.validate_algebra(dataclasses.replace(z257, mul_table=tuple(mul)))
+        report = mg.validate_algebra(replace(z257, mul_table=tuple(mul)))
         # (1+1)+3 reads the changed entry and 1+(1+3) = 5; nothing smaller does
         assert report.violations[0] == Violation(AXIOM, "associativity", "mul: (1*1)*3 != 1*(1*3)", (1, 1, 3))
         assert {v.code for v in report.violations} == {"associativity", "commutativity", "cancellativity"}

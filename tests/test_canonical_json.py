@@ -158,9 +158,10 @@ def test_written_model_files_are_fixed_points(capsys, tmp_path):
 
 # keys that a `%` template, a quote escape or an ASCII escape could break
 record_keys = st.lists(st.sampled_from(["a", "b", "%", "%s", '"', "\\", "é", "☃", "\n"]), max_size=3).map("".join)
-# what a column holds; "scalars" mixes types row by row, and the last three
-# send the whole list back to the general walk
-COLUMN_KINDS = ["str", "int", "scalars", "shared", "lists", "empty", "scalar-or-list", "deep", "dict"]
+# what a column holds; "scalars" mixes types row by row, "scalar-lists"
+# holds lists of one scalar type or of mixed ones, and the last three send
+# the whole list back to the general walk
+COLUMN_KINDS = ["str", "int", "scalars", "shared", "lists", "scalar-lists", "empty", "scalar-or-list", "deep", "dict"]
 
 
 @st.composite
@@ -177,6 +178,9 @@ def record_lists(draw):
         "scalars": scalars,
         "shared": shared,
         "lists": st.lists(shared | st.lists(st.text(max_size=2), max_size=3) | st.just(()), max_size=3),
+        "scalar-lists": st.lists(st.integers(-3, 3) | st.text(max_size=2), max_size=3)
+        | st.lists(st.integers(), max_size=3)
+        | st.lists(scalars, max_size=3).map(tuple),
         "empty": st.just([]) | st.just(()),
         "scalar-or-list": st.integers() | shared,
         "deep": st.lists(st.lists(shared, max_size=2), max_size=2),

@@ -1,7 +1,6 @@
 """Motif catalog and occurrence search against the exhaustive oracle."""
 
 import contextlib
-import dataclasses
 import io
 import itertools
 import random
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import monograph as mg
+from monograph.validation import replace
 from monograph import cli, motifs
 from monograph.model_io import _canonical_json
 
@@ -238,7 +238,7 @@ def counting_algebra():
         calls[0] += 1
         return nat.mul(a, b)
 
-    return dataclasses.replace(nat, mul=mul), calls
+    return replace(nat, mul=mul), calls
 
 
 class TestWork:
