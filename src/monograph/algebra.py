@@ -29,7 +29,7 @@ import random
 from fractions import Fraction
 from typing import Any, Callable, Optional, Union
 
-from .validation import AXIOM, STRUCTURE, ValidationReport, record
+from .validation import AXIOM, STRUCTURE, ValidationReport, _first_non_index, _is_index, record
 
 Element = Any
 
@@ -105,7 +105,7 @@ class TableAlgebra(_CoefficientView):
         return self.zero_index
 
     def contains(self, x: Element) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < self.size
+        return _is_index(x, self.size)
 
     def label_text(self, x: int) -> str:
         return self.elements[x]
@@ -625,10 +625,8 @@ def _table_structure(a: TableAlgebra) -> ValidationReport:
                 "non-square",
                 f"{label} table has {len(table)} entries, expected {n * n}",
             )
-        # checked in C; a bool (an int subclass) is no element index
-        elif not set(map(type, table)) <= {int} or not set(table) <= set(range(n)):
-            bad = next(v for v in table if not a.contains(v))
-            report.add(STRUCTURE, "out-of-range", f"{label} table entry {bad!r} is not an element index")
+        elif (bad := _first_non_index(table, n)) is not None:
+            report.add(STRUCTURE, "out-of-range", f"{label} table entry {table[bad]!r} is not an element index")
     if not a.contains(a.unit):
         report.add(STRUCTURE, "out-of-range", f"unit index {a.unit!r} is not an element index")
     if a.add_table is not None and not a.contains(a.zero_index):

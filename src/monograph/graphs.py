@@ -6,11 +6,10 @@ so parallel edges and renamings never disturb identity.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 from .algebra import Flags, LabelAlgebra, MonoidHom, TableAlgebra, _tabulate, apply_hom
-from .validation import AXIOM, STRUCTURE, ValidationReport, _over_guard, record
+from .validation import AXIOM, STRUCTURE, ValidationReport, _first_non_index, _over_guard, record
 
 
 @record(frozen=True)
@@ -23,14 +22,9 @@ class Graph:
         if len(self.edge_src) != len(self.edge_tgt):
             raise ValueError("edge source and target lists differ in length")
         n = len(self.vertex_names)
-        ends = (self.edge_src, self.edge_tgt)
-        # checked in C; only a failure looks for the first bad endpoint
-        if self.edge_src and not (
-            set(map(type, itertools.chain(*ends))) <= {int} and min(map(min, ends)) >= 0 and max(map(max, ends)) < n
-        ):
-            for v in itertools.chain(*ends):
-                if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
-                    raise ValueError(f"edge endpoint {v!r} is not a vertex id")
+        for ends in (self.edge_src, self.edge_tgt):
+            if (bad := _first_non_index(ends, n)) is not None:
+                raise ValueError(f"edge endpoint {ends[bad]!r} is not a vertex id")
         # Per vertex, the ids of the edges leaving it, ascending.  Not a
         # field, so equality and hashing still see only the fields; set here
         # rather than cached through `__dict__`, which would move every later
@@ -81,16 +75,12 @@ class LabeledGraph:
         labels, algebra = self.labels, self.algebra
         if len(labels) != self.graph.n_edges:
             raise ValueError("labeling is not total on edges")
-        # checked in C (a table's elements are the indices below its size);
-        # only a failure looks for the first bad label
-        if isinstance(algebra, TableAlgebra):
-            fits = not labels or (set(map(type, labels)) <= {int} and min(labels) >= 0 and max(labels) < algebra.size)
+        if isinstance(algebra, TableAlgebra):  # its elements are the indices below its size
+            bad = _first_non_index(labels, algebra.size)
         else:
-            fits = all(map(algebra.contains, labels))
-        if not fits:
-            for x in labels:
-                if not algebra.contains(x):
-                    raise ValueError(f"label {x!r} is not an element of the algebra")
+            bad = next((i for i, x in enumerate(labels) if not algebra.contains(x)), None)
+        if bad is not None:
+            raise ValueError(f"label {labels[bad]!r} is not an element of the algebra")
 
     def label_texts(self) -> tuple[str, ...]:
         return tuple(self.algebra.label_text(x) for x in self.labels)
@@ -142,9 +132,9 @@ def validate_morphism(m: GraphMorphism) -> ValidationReport:
         report.add(STRUCTURE, "vertex-map-partial", "vertex map is not total")
     if len(m.f1) != m.source.n_edges:
         report.add(STRUCTURE, "edge-map-partial", "edge map is not total")
-    if any(not (0 <= v < m.target.n_vertices) for v in m.f0):
+    if _first_non_index(m.f0, m.target.n_vertices) is not None:
         report.add(STRUCTURE, "dangling-vertex", "vertex map hits a missing vertex id")
-    if any(not (0 <= e < m.target.n_edges) for e in m.f1):
+    if _first_non_index(m.f1, m.target.n_edges) is not None:
         report.add(STRUCTURE, "dangling-edge", "edge map hits a missing edge id")
     if not report.ok:
         return report
@@ -163,7 +153,9 @@ def _require_valid(m: GraphMorphism) -> None:
 
 
 def is_label_preserving(m: GraphMorphism, src: LabeledGraph, dst: LabeledGraph):
-    """True iff every edge keeps its label along the map; witness edge otherwise."""
+    """True iff every edge keeps its label along the map; witness edge otherwise.
+    Raises ValueError unless `m` is a graph morphism."""
+    _require_valid(m)
     if m.source != src.graph:
         raise ValueError("morphism source does not match the labeled graph")
     if m.target != dst.graph:
@@ -205,7 +197,7 @@ class Semiautomaton:
         if len(self.action) != len(self.input_names):
             raise ValueError("action is not total on inputs")
         for row in self.action:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
+            if len(row) != n or _first_non_index(row, n) is not None:
                 raise ValueError("action is not total on states")
 
 

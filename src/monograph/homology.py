@@ -28,7 +28,7 @@ from typing import Sequence
 from .algebra import Element, LabelAlgebra, TableAlgebra, algebra_name, named_algebra
 from .graphs import Graph, LabeledGraph, undirected_components
 from .paths import Path, grade
-from .validation import _assignments, _over_guard, record
+from .validation import _assignments, _first_non_index, _over_guard, record
 
 NAT = named_algebra("NatAdd")
 
@@ -162,9 +162,8 @@ def canonical_rotation(edges: Sequence[int]) -> tuple[int, ...]:
 def _check_edges(edges: Sequence[int], g: Graph, noun: str) -> None:
     """Raise for the first of `edges`, in sequence order, that is not an
     edge of `g`, naming the `noun` (loop or chain) that mentions it."""
-    if edges and (min(edges) < 0 or max(edges) >= g.n_edges):
-        missing = next(e for e in edges if not 0 <= e < g.n_edges)
-        raise ValueError(f"{noun} mentions missing edge {missing}")
+    if (bad := _first_non_index(edges, g.n_edges)) is not None:
+        raise ValueError(f"{noun} mentions missing edge {edges[bad]!r}")
 
 
 def simple_loop(g: Graph, edges: Sequence[int]) -> SimpleLoop:
@@ -596,13 +595,13 @@ def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None) -> list[Ch
     tries, or when `bound` is negative.
     """
     if isinstance(algebra, TableAlgebra):
-        values = range(algebra.size)
+        radix = algebra.size
     elif algebra == NAT:
         if bound is None:
             raise ValueError("natural-number enumeration needs a coefficient bound")
         if bound < 0:
             raise ValueError(f"coefficient bound must be at least 0, got {bound}")
-        values = range(bound + 1)
+        radix = bound + 1  # a Python int: `len` of a range past 2**63 overflows
     else:
         raise ValueError(f"cycles are enumerated over finite tables or NatAdd, not {algebra_name(algebra)}")
     add, zero = algebra.add, algebra.zero  # zero raises unless there is a coefficient view
@@ -620,10 +619,10 @@ def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None) -> list[Ch
         nonlocal nodes
         s, t = src[order[i]], tgt[order[i]]
         out_before, in_before = out_sum[s], in_sum[t]
-        for x in values:
+        for x in range(radix):
             nodes += 1
             if nodes > _CYCLE_GUARD:
-                space = f"cycle search space {len(values)}^{len(order)} expanded {nodes} nodes"
+                space = f"cycle search space {radix}^{len(order)} expanded {nodes} nodes"
                 raise ValueError(_over_guard(space, _CYCLE_GUARD))
             out_sum[s], in_sum[t] = add(out_before, x), add(in_before, x)
             if all(out_sum[v] == in_sum[v] for v in closing[i]):
@@ -631,6 +630,6 @@ def cycles(g: Graph, algebra: LabelAlgebra, bound: int | None = None) -> list[Ch
         out_sum[s], in_sum[t] = out_before, in_before
 
     # a found cycle is stored as one integer, its coefficients as digits, edge 0 first
-    weight = [len(values) ** (g.n_edges - 1 - e) for e in order]
+    weight = [radix ** (g.n_edges - 1 - e) for e in order]
     found = [sum(map(operator.mul, weight, xs)) for xs in _assignments(len(order), balancing)]
-    return [chain(algebra, {e: code // w % len(values) for e, w in zip(order, weight)}) for code in sorted(found)]
+    return [chain(algebra, {e: code // w % radix for e, w in zip(order, weight)}) for code in sorted(found)]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -30,7 +29,7 @@ from .algebra import (
     algebra_name,
     named_algebra,
 )
-from .validation import record
+from .validation import _first_non_index, _is_index, record
 
 if TYPE_CHECKING:
     # imported where a section is parsed: an algebra-only file loads neither
@@ -113,10 +112,6 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
     elements = tuple(obj["elements"])
     n = len(elements)
 
-    def is_index(v: Any) -> bool:
-        # JSON true/false arrive as bool, a subclass of int
-        return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
-
     def read_table(key: str, required: bool):
         table = obj.get(key)
         if table is None:
@@ -124,19 +119,17 @@ def parse_algebra(obj: Any) -> LabelAlgebra:
             return None
         _require(isinstance(table, list), "bad-table", f"{key} must be a flat row-major list")
         _require(len(table) == n * n, "bad-table", f"{key} has {len(table)} entries, expected {n * n}")
-        # checked in C; only a failure looks for the first bad entry
-        if table and not (set(map(type, table)) <= {int} and min(table) >= 0 and max(table) < n):
-            bad = next(v for v in table if not is_index(v))
-            raise ModelFormatError("bad-table", f"{key} entry {bad!r} is not an element index")
+        if (bad := _first_non_index(table, n)) is not None:
+            raise ModelFormatError("bad-table", f"{key} entry {table[bad]!r} is not an element index")
         return tuple(table)
 
     mul_table = read_table("mul_table", required=True)
     add_table = read_table("add_table", required=False)
     unit = obj.get("unit")
-    _require(is_index(unit), "bad-table", f"unit {unit!r} is not an element index")
+    _require(_is_index(unit, n), "bad-table", f"unit {unit!r} is not an element index")
     zero = obj.get("zero")
     if add_table is not None:
-        _require(is_index(zero), "bad-table", f"zero {zero!r} is not an element index")
+        _require(_is_index(zero, n), "bad-table", f"zero {zero!r} is not an element index")
     else:
         _require(zero is None, "schema", "zero given without an add_table")
     flags_obj = obj.get("flags", {})
@@ -414,25 +407,7 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 def _scalar_text(value: Any) -> Optional[str]:
     """json's text for a scalar, or None for a list, tuple or dict."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value in (math.inf, -math.inf):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    return None if isinstance(value, (list, tuple, dict)) else json.dumps(value)
 
 
 def _encoder(values, nl: str):

@@ -33,7 +33,7 @@ from .graphs import (
     validate_morphism,
 )
 from .paths import KleisliMorphism, compose_kleisli, is_kleisli_morphism
-from .validation import ValidationReport, _assignments, _over_guard, record, replace
+from .validation import ValidationReport, _assignments, _first_non_index, _is_index, _over_guard, record, replace
 
 
 @record(frozen=True)
@@ -50,9 +50,9 @@ class OpenGraph:
         if len(self.leg_in) != len(self.left_foot) or len(self.leg_out) != len(self.right_foot):
             raise ValueError("legs must be total on the feet")
         n = self.inner.graph.n_vertices
-        for v in itertools.chain(self.leg_in, self.leg_out):
-            if not (0 <= v < n):
-                raise ValueError(f"leg target {v!r} is not a vertex id")
+        for legs in (self.leg_in, self.leg_out):
+            if (bad := _first_non_index(legs, n)) is not None:
+                raise ValueError(f"leg target {legs[bad]!r} is not a vertex id")
 
 
 def identity_open(foot: tuple[str, ...], algebra) -> OpenGraph:
@@ -242,11 +242,12 @@ def check_2morphism(m: OpenGraphMap, mode: str = "set"):
         return False, ("inner", "invalid-morphism")
     vmap = entry.vertex_map(inner)
 
+    # an image that is no element of the target's foot fails its square too
     for a, image in enumerate(m.foot_in):
-        if m.target.leg_in[image] != vmap[m.source.leg_in[a]]:
+        if not _is_index(image, len(m.target.leg_in)) or m.target.leg_in[image] != vmap[m.source.leg_in[a]]:
             return False, ("left-foot", a)
     for b, image in enumerate(m.foot_out):
-        if m.target.leg_out[image] != vmap[m.source.leg_out[b]]:
+        if not _is_index(image, len(m.target.leg_out)) or m.target.leg_out[image] != vmap[m.source.leg_out[b]]:
             return False, ("right-foot", b)
 
     ok, witness = entry.check(inner, m.source.inner, m.target.inner)

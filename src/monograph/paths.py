@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .algebra import Element, MonoidHom
 from .graphs import Graph, LabeledGraph, change_labels
-from .validation import record, replace
+from .validation import _first_non_index, _is_index, record, replace
 
 
 @record(frozen=True)
@@ -26,11 +26,11 @@ class Path:
 
 
 def check_path(p: Path, g: Graph) -> None:
-    if not (0 <= p.start < g.n_vertices):
+    if not _is_index(p.start, g.n_vertices):
         raise ValueError(f"path start {p.start} is not a vertex")
     at = p.start
     for e in p.edges:
-        if not (0 <= e < g.n_edges):
+        if not _is_index(e, g.n_edges):
             raise ValueError(f"path edge {e} does not exist")
         if g.edge_src[e] != at:
             raise ValueError(f"edge {e} does not start where the path has arrived")
@@ -74,7 +74,7 @@ def is_kleisli_morphism(k: KleisliMorphism):
     src_g, tgt_g = k.source.graph, k.target.graph
     if len(k.vertex_map) != src_g.n_vertices or len(k.edge_map) != src_g.n_edges:
         raise ValueError("vertex or edge map is not total")
-    if any(not (0 <= v < tgt_g.n_vertices) for v in k.vertex_map):
+    if _first_non_index(k.vertex_map, tgt_g.n_vertices) is not None:
         raise ValueError("vertex map hits a missing vertex")
     for e in range(src_g.n_edges):
         image = k.edge_map[e]

@@ -1,6 +1,8 @@
 """The record decorator every data class in the package uses, structured
-validation reports shared by the algebra and graph checkers, the message of
-a search that ran past its guard, and the one search over assignments that
+validation reports shared by the algebra and graph checkers, the one index
+rule (an index into a set of n is an `int`, not a `bool`, in `range(n)`)
+that every vertex, edge and element index is checked by, the message of a
+search that ran past its guard, and the one search over assignments that
 the cycle, motif and isomorphism searches share."""
 
 from __future__ import annotations
@@ -111,6 +113,20 @@ class ValidationReport:
         lines = [f"{self.subject}: {len(self.violations)} violation(s)"]
         lines += [f"  [{v.kind}/{v.code}] {v.message}" for v in self.violations]
         return "\n".join(lines)
+
+
+def _is_index(value, n: int) -> bool:
+    """True iff `value` indexes a set of `n`: an `int`, not a `bool`, in `range(n)`."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < n
+
+
+def _first_non_index(values, n: int):
+    """The place of the first of the sequence `values` that is no index into
+    a set of `n` (see `_is_index`), or None.  Types, `min` and `max` are
+    tested in C; only a failure searches item by item."""
+    if not values or (set(map(type, values)) <= {int} and min(values) >= 0 and max(values) < n):
+        return None
+    return next((i for i, value in enumerate(values) if not _is_index(value, n)), None)
 
 
 def _over_guard(space: str, allowed: int) -> str:

@@ -896,3 +896,64 @@ def test_parser_reuse_matches_fresh_processes(capsys, tmp_path):
         if written:
             written.unlink()
         assert _in_process(capsys, argv, written) == expected[i], argv
+
+
+# the fixture pairs that `compose`, `tensor` and `emergence` read together
+_PAIRS = [("open_left", "open_right"), ("glue_red", "glue_blue"), ("noncancellative_left", "noncancellative_right")]
+_ODD_VALUES = [None, True, False, 0, 1, -1, 2, 10**20, 0.5, "", "x", "+", [], {}, [0], {"id": 0}]
+
+
+def _mutated(rng: random.Random, obj):
+    """`obj` after one to three edits, each to one key of a dict or item of
+    a list inside it: replaced (by an odd value or a scalar of the file),
+    deleted, or duplicated (copied onto another key, or inserted again)."""
+    for _ in range(rng.randint(1, 3)):
+        containers, stack, scalars = [], [obj], []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                children = list(node.values()) if isinstance(node, dict) else node
+                containers += [node] if node else []
+                stack.extend(children)
+            else:
+                scalars.append(node)
+        if not containers:
+            break
+        node = rng.choice(containers)
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        edit = rng.choice(("replace", "delete", "duplicate"))
+        if edit == "replace":
+            node[key] = json.loads(json.dumps(rng.choice(_ODD_VALUES + scalars)))
+        elif edit == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[rng.choice(list(node))] = json.loads(json.dumps(node[key]))
+        else:
+            node.insert(rng.randint(0, len(node)), json.loads(json.dumps(node[key])))
+    return obj
+
+
+def test_no_mutated_model_file_makes_a_command_raise(capsys, tmp_path):
+    rng = random.Random(26)
+    for trial in range(100):
+        names = list(rng.choice(_PAIRS))
+        side = rng.randrange(2)
+        mutated = _mutated(rng, json.loads((FIXTURES / f"{names[side]}.json").read_text()))
+        paths = [FIXTURES / f"{name}.json" for name in names]
+        paths[side] = tmp_path / f"{names[side]}.json"
+        paths[side].write_text(json.dumps(mutated))
+        left, right = map(str, paths)
+        calls = [
+            ["compose", left, right, "--out", os.devnull],
+            ["tensor", left, right, "--out", os.devnull],
+            *[["change-labels", str(paths[side]), "--hom", hom, "--out", os.devnull] for hom in ("collapse", "sign", "sign-section")],
+            ["validate", left, right],
+            ["emergence", "--left", left, "--right", right, "--json"],
+        ]
+        for argv in calls:
+            code = main(argv)  # anything raised fails the test here
+            err = capsys.readouterr().err
+            context = (trial, argv, mutated)
+            assert code in (0, 1), context
+            if code == 1 and argv[0] != "validate":
+                assert any(line.startswith("error: ") for line in err.splitlines()), context
